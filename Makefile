@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-shardsafe test race cover fuzz bench bench-fabric bench-serve shard-smoke telemetry-smoke fault-smoke serve-smoke profile experiments quick clean
+.PHONY: all build vet lint lint-shardsafe test race cover fuzz bench bench-fabric bench-serve shard-smoke resume-smoke telemetry-smoke fault-smoke serve-smoke profile experiments quick clean
 
 all: build lint test
 
@@ -72,6 +72,12 @@ shard-smoke:
 lint-shardsafe:
 	$(GO) test -race -run 'ShardSafe|ShardViolation' ./internal/lint/
 	$(GO) test -race -run 'TestShard' ./internal/sim/ ./internal/wormhole/
+
+# End-to-end kill-and-resume check: a checkpointed sweep interrupted
+# mid-grid and resumed must write a manifest that digests identically
+# to an uninterrupted one. See DESIGN.md §9.
+resume-smoke:
+	bash scripts/resume_smoke.sh
 
 # End-to-end telemetry check: live /metrics scrape mid-sweep, sidecar
 # validation, and the kill-and-resume digest contract. See DESIGN.md §11.

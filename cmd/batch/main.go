@@ -10,12 +10,13 @@
 // -manifest appends one JSONL record per configuration; and
 // -cpuprofile/-memprofile/-trace feed go tool pprof/trace.
 //
-// Resilience (internal/resilience): a failing or panicking config no
-// longer aborts the study — every failure is reported at the end;
-// -checkpoint journals completed configs, Ctrl-C flushes the journal
-// and partial manifest, -resume skips journaled configs on the next
-// invocation, and -watchdog aborts deadlocked configs with a stall
-// diagnosis (configs that set WatchdogCycles keep their own budget).
+// Resilience (internal/resilience, internal/cli): a failing or
+// panicking config no longer aborts the study — every failure is
+// reported at the end; -checkpoint keeps completed configs in a result
+// store directory, Ctrl-C flushes it and the partial manifest, -resume
+// replays the stored configs on the next invocation, and -watchdog
+// aborts deadlocked configs with a stall diagnosis (configs that set
+// WatchdogCycles keep their own budget).
 //
 // Caching (internal/store): -store points at a content-addressed
 // result store shared with cmd/sweep and cmd/serve; configs the store
@@ -29,33 +30,26 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"time"
 
+	"smart/internal/cli"
 	"smart/internal/core"
 	"smart/internal/faults"
-	"smart/internal/obs"
-	"smart/internal/resilience"
 	"smart/internal/results"
-	"smart/internal/store"
-	"smart/internal/telemetry"
 )
 
 func main() {
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	resFlags := resilience.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
+	flags := cli.AddFlags(flag.CommandLine)
 	configPath := flag.String("config", "", "path to the JSON batch description")
 	csvPath := flag.String("csv", "", "also write results as CSV")
-	manifestPath := flag.String("manifest", "", "append one JSONL run record per configuration to this file")
-	storeDir := flag.String("store", "", "read-through result store directory: cached configs are replayed instead of re-run, and completed runs are written back")
+	flag.StringVar(&flags.Manifest, "manifest", "", "append one JSONL run record per configuration to this file")
+	flag.StringVar(&flags.Store, "store", "", "read-through result store directory: cached configs are replayed instead of re-run, and completed runs are written back")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulations")
 	scaffold := flag.Bool("scaffold", false, "print a template batch file and exit")
-	shards := flag.Int("shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
 	faultsFlag := flag.String("faults", "", "fault schedule (spec or smart/faults/v1 JSONL file) for configs that set none")
 	burstFlag := flag.String("burst", "", "bursty injection (mmpp:<dwellOn>:<dwellOff>:<peak>) for configs that set none")
 	flag.Parse()
@@ -96,7 +90,7 @@ func main() {
 	}
 	for i := range b.Configs {
 		if b.Configs[i].WatchdogCycles == 0 {
-			b.Configs[i].WatchdogCycles = resFlags.Watchdog
+			b.Configs[i].WatchdogCycles = flags.Watchdog
 		}
 		if b.Configs[i].Faults == "" {
 			b.Configs[i].Faults = faultsSpec
@@ -106,87 +100,13 @@ func main() {
 		}
 	}
 
-	stopProf, err := obsFlags.Start()
+	sess, err := flags.Open("batch", len(b.Configs), 2*time.Second)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "batch:", err)
 		os.Exit(1)
 	}
-	ctx, stop := resilience.SignalContext(context.Background())
-	defer stop()
-	opts := core.Options{Logger: obsFlags.Logger(), Context: ctx, Shards: *shards}
-	ckpt, err := resFlags.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
-	}
-	if ckpt != nil {
-		if resFlags.Resume && ckpt.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "batch: resuming past %d checkpointed runs in %s\n", ckpt.Len(), ckpt.Path())
-		}
-		opts.Checkpoint = ckpt
-	}
-	var profiler *obs.StageProfiler
-	var progress *obs.Progress
-	if obsFlags.Verbose {
-		profiler = obs.NewStageProfiler()
-		progress = obs.NewProgress(os.Stderr, len(b.Configs), 2*time.Second)
-		progress.Start()
-		opts.Profiler = profiler
-		opts.Progress = progress
-	}
-	tel, telAddr, telStop, err := telFlags.Open(resFlags.Resume)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
-	}
-	if tel != nil {
-		if tel.Server != nil {
-			// Grid progress is served even without -v: an unstarted
-			// Progress never prints but still snapshots.
-			if progress == nil {
-				progress = obs.NewProgress(os.Stderr, len(b.Configs), 2*time.Second)
-				opts.Progress = progress
-			}
-			tel.Server.SetProgress(progress)
-			fmt.Fprintf(os.Stderr, "batch: serving telemetry on http://%s/metrics\n", telAddr)
-		}
-		opts.Telemetry = tel
-	}
-	if *manifestPath != "" {
-		mf, err := os.Create(*manifestPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
-		}
-		defer mf.Close()
-		opts.Manifest = obs.NewManifestWriter(mf)
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		fmt.Fprintf(os.Stderr, "batch: store %s holds %d results\n", *storeDir, st.Len())
-		opts.Store = st
-	}
-
-	res, err := b.RunWith(*workers, opts)
-	progress.Stop()
-	if ckpt != nil {
-		if cerr := ckpt.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if terr := telStop(); terr != nil && err == nil {
-		err = terr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		if ckpt != nil {
-			fmt.Fprintf(os.Stderr, "batch: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", ckpt.Path(), ckpt.Len())
-		}
+	res, err := b.RunWith(*workers, sess.Options)
+	if err := sess.Close(err); err != nil {
 		os.Exit(1)
 	}
 
@@ -209,30 +129,18 @@ func main() {
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
+			sess.Fatal(err)
 		}
 		defer f.Close()
 		if err := results.WriteCSV(f, headers, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
+			sess.Fatal(err)
 		}
 		fmt.Printf("\nwrote %s\n", *csvPath)
 	}
-	if *manifestPath != "" {
-		fmt.Printf("\nrun manifest written to %s\n", *manifestPath)
+	if flags.Manifest != "" {
+		fmt.Printf("\nrun manifest written to %s\n", flags.Manifest)
 	}
-	if telFlags.SidecarPath != "" {
-		fmt.Printf("\ntime series written to %s\n", telFlags.SidecarPath)
-	}
-
-	if profiler != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprintln(os.Stderr, "per-stage engine timing (hottest first):")
-		fmt.Fprint(os.Stderr, obs.FormatStageReport(profiler.Report()))
-	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
+	if flags.Telemetry.SidecarPath != "" {
+		fmt.Printf("\ntime series written to %s\n", flags.Telemetry.SidecarPath)
 	}
 }

@@ -11,10 +11,18 @@
 //
 // Output is a self-contained text report on stdout (tee it to a file);
 // -csvdir additionally dumps every series as CSV for plotting.
+//
+// The grid takes the shared observability, telemetry and resilience
+// flags of internal/cli. -checkpoint keeps every completed run in a
+// result store directory as it finishes; after a kill or a failure,
+// rerunning with -checkpoint and -resume replays the stored runs and
+// simulates only the rest:
+//
+//	experiments -checkpoint grid.ckpt | tee report.txt
+//	experiments -checkpoint grid.ckpt -resume | tee report.txt
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,18 +30,17 @@ import (
 	"runtime"
 	"time"
 
+	"smart/internal/cli"
 	"smart/internal/core"
 	"smart/internal/cost"
 	"smart/internal/faults"
 	"smart/internal/obs"
-	"smart/internal/resilience"
 	"smart/internal/results"
-	"smart/internal/telemetry"
 )
 
-// ckpt is the completed-run journal (-checkpoint); fatal reports it so
-// an interrupted or failed grid can be resumed instead of recomputed.
-var ckpt *resilience.Checkpoint
+// sess is the open grid session; fatal closes it, so a failed grid
+// still flushes its checkpoint and says how to resume.
+var sess *cli.Session
 
 // paperSaturation records the saturation points the paper's text quotes,
 // as fractions of capacity, keyed by pattern then configuration label.
@@ -47,9 +54,7 @@ var paperSaturation = map[string]map[string]float64{
 var patterns = []string{"uniform", "complement", "transpose", "bitrev"}
 
 func main() {
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	resFlags := resilience.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
+	flags := cli.AddFlags(flag.CommandLine)
 	quick := flag.Bool("quick", false, "coarse grid and short horizon (preview quality)")
 	ablate := flag.Bool("ablations", false, "also run the extension/ablation studies")
 	degraded := flag.Bool("degraded", false, "also run the degraded-operation study (clean vs faulted vs bursty saturation)")
@@ -57,15 +62,9 @@ func main() {
 	burst := flag.String("burst", "", "bursty injection applied to every grid run (mmpp:<dwellOn>:<dwellOff>:<peak>)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	csvDir := flag.String("csvdir", "", "write every series as CSV files into this directory")
-	manifestPath := flag.String("manifest", "", "append one JSONL run record per simulation to this file")
-	selfCheck := flag.Bool("selfcheck", false, "shadow every run with the reference oracle simulator in lockstep (slow; fails at the first divergent cycle)")
-	shards := flag.Int("shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
+	flag.StringVar(&flags.Manifest, "manifest", "", "append one JSONL run record per simulation to this file")
+	flag.BoolVar(&flags.SelfCheck, "selfcheck", false, "shadow every run with the reference oracle simulator in lockstep (slow; fails at the first divergent cycle)")
 	flag.Parse()
-
-	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	step := 0.05
 	var warmup, horizon int64 // 0 = paper defaults
@@ -76,6 +75,16 @@ func main() {
 	var loads []float64
 	for l := step; l <= 1.0001; l += step {
 		loads = append(loads, l)
+	}
+	configs := core.PaperConfigs()
+	var err error
+	if sess, err = flags.Open("experiments", len(patterns)*len(configs)*len(loads), 5*time.Second); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
+	if err != nil {
+		fatal(err)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -109,59 +118,6 @@ func main() {
 	fmt.Println()
 
 	// ---- Figures 5, 6, 7 ----
-	configs := core.PaperConfigs()
-
-	stopProf, err := obsFlags.Start()
-	if err != nil {
-		fatal(err)
-	}
-	ctx, stop := resilience.SignalContext(context.Background())
-	defer stop()
-	opts := core.Options{Logger: obsFlags.Logger(), Context: ctx, SelfCheck: *selfCheck, Shards: *shards}
-	if ckpt, err = resFlags.Open(); err != nil {
-		fatal(err)
-	}
-	if ckpt != nil {
-		if resFlags.Resume && ckpt.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: resuming past %d checkpointed runs in %s\n", ckpt.Len(), ckpt.Path())
-		}
-		opts.Checkpoint = ckpt
-	}
-	var profiler *obs.StageProfiler
-	var progress *obs.Progress
-	if obsFlags.Verbose {
-		profiler = obs.NewStageProfiler()
-		progress = obs.NewProgress(os.Stderr, len(patterns)*len(configs)*len(loads), 5*time.Second)
-		progress.Start()
-		opts.Profiler = profiler
-		opts.Progress = progress
-	}
-	tel, telAddr, telStop, err := telFlags.Open(resFlags.Resume)
-	if err != nil {
-		fatal(err)
-	}
-	if tel != nil {
-		if tel.Server != nil {
-			// Grid progress is served even without -v: an unstarted
-			// Progress never prints but still snapshots.
-			if progress == nil {
-				progress = obs.NewProgress(os.Stderr, len(patterns)*len(configs)*len(loads), 5*time.Second)
-				opts.Progress = progress
-			}
-			tel.Server.SetProgress(progress)
-			fmt.Fprintf(os.Stderr, "experiments: serving telemetry on http://%s/metrics\n", telAddr)
-		}
-		opts.Telemetry = tel
-	}
-	if *manifestPath != "" {
-		mf, err := os.Create(*manifestPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer mf.Close()
-		opts.Manifest = obs.NewManifestWriter(mf)
-	}
-
 	type sweepKey struct{ pattern, label string }
 	sweeps := map[sweepKey][]core.Result{}
 	labels := make([]string, len(configs))
@@ -170,9 +126,9 @@ func main() {
 			cfg.Pattern = pattern
 			cfg.Seed = *seed
 			cfg.Warmup, cfg.Horizon = warmup, horizon
-			cfg.WatchdogCycles = resFlags.Watchdog
+			cfg.WatchdogCycles = flags.Watchdog
 			cfg.Faults, cfg.Burst = faultsSpec, *burst
-			o := opts
+			o := sess.Options
 			o.Batch = cfg.Label() + "/" + pattern
 			swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), o)
 			if err != nil {
@@ -183,7 +139,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "swept %-22s %-11s (%s elapsed)\n", labels[i], pattern, elapsed().Round(time.Second))
 		}
 	}
-	progress.Stop()
+	sess.Options.Progress.Stop()
 
 	figure := func(title, figure string, selected []string, pattern string) {
 		fmt.Printf("== %s (%s, %s traffic) ==\n\n", title, figure, pattern)
@@ -265,28 +221,15 @@ func main() {
 	fmt.Println()
 
 	if *degraded {
-		runDegraded(loads, warmup, horizon, *seed, *csvDir, opts, elapsed)
+		runDegraded(loads, warmup, horizon, *seed, *csvDir, sess.Options, elapsed)
 	}
 
 	if *ablate {
 		runAblations(loads, warmup, horizon, *seed, *csvDir)
 	}
 
-	if profiler != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprintln(os.Stderr, "per-stage engine timing (hottest first):")
-		fmt.Fprint(os.Stderr, obs.FormatStageReport(profiler.Report()))
-	}
-	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if err := telStop(); err != nil {
-		fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
+	if err := sess.Close(nil); err != nil {
+		os.Exit(1)
 	}
 	fmt.Printf("total wall time %s\n", elapsed().Round(time.Second))
 }
@@ -306,10 +249,5 @@ func writeCSV(dir, name string, headers []string, rows [][]string) {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	if ckpt != nil {
-		ckpt.Close()
-		fmt.Fprintf(os.Stderr, "experiments: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", ckpt.Path(), ckpt.Len())
-	}
-	os.Exit(1)
+	sess.Fatal(err)
 }

@@ -18,11 +18,12 @@
 //
 //	sweep -net tree -vcs 2 -quick -v -manifest runs.jsonl -cpuprofile cpu.prof
 //
-// Resilience (internal/resilience): -checkpoint journals completed runs
-// as they finish, Ctrl-C flushes the journal and partial manifest
-// instead of dropping them, and -resume skips the journaled runs on the
-// next invocation; -watchdog bounds how long a run may go without flit
-// progress before it aborts with a stall diagnosis.
+// Resilience (internal/resilience, internal/cli): -checkpoint keeps
+// completed runs in a result store directory as they finish, Ctrl-C
+// flushes it and the partial manifest instead of dropping them, and
+// -resume replays the stored runs on the next invocation; -watchdog
+// bounds how long a run may go without flit progress before it aborts
+// with a stall diagnosis.
 //
 //	sweep -net cube -alg duato -checkpoint sweep.ckpt            # interruptible
 //	sweep -net cube -alg duato -checkpoint sweep.ckpt -resume    # pick up where it left off
@@ -44,33 +45,27 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"time"
 
+	"smart/internal/cli"
 	"smart/internal/core"
 	"smart/internal/faults"
-	"smart/internal/obs"
 	"smart/internal/plot"
-	"smart/internal/resilience"
 	"smart/internal/results"
-	"smart/internal/store"
-	"smart/internal/telemetry"
 )
 
 func main() {
 	var cfg core.Config
-	var network, alg, csvPath, manifestPath string
+	var network, alg, csvPath string
 	var step float64
 	var quick bool
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	resFlags := resilience.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
-	flag.StringVar(&manifestPath, "manifest", "", "append one JSONL run record per load point to this file")
-	storeDir := flag.String("store", "", "read-through result store directory: cached load points are replayed instead of re-run, and completed runs are written back")
+	flags := cli.AddFlags(flag.CommandLine)
+	flag.StringVar(&flags.Manifest, "manifest", "", "append one JSONL run record per load point to this file")
+	flag.StringVar(&flags.Store, "store", "", "read-through result store directory: cached load points are replayed instead of re-run, and completed runs are written back")
 	flag.StringVar(&network, "net", "tree", "network family: tree or cube")
 	flag.IntVar(&cfg.K, "k", 0, "radix")
 	flag.IntVar(&cfg.N, "n", 0, "dimension/levels")
@@ -86,15 +81,14 @@ func main() {
 	flag.BoolVar(&quick, "quick", false, "coarse grid and short horizon for a fast preview")
 	flag.StringVar(&csvPath, "csv", "", "also write the series as CSV to this file")
 	showPlot := flag.Bool("plot", false, "render the two CNF graphs as ASCII charts")
-	selfCheck := flag.Bool("selfcheck", false, "shadow every run with the reference oracle simulator in lockstep (slow; fails at the first divergent cycle)")
-	shards := flag.Int("shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
+	flag.BoolVar(&flags.SelfCheck, "selfcheck", false, "shadow every run with the reference oracle simulator in lockstep (slow; fails at the first divergent cycle)")
 	flag.Parse()
 	cfg.Network = core.NetworkKind(network)
 	cfg.Algorithm = alg
-	cfg.WatchdogCycles = resFlags.Watchdog
-	var ferr error
-	if cfg.Faults, ferr = faults.ResolveFlag(*faultsFlag); ferr != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", ferr)
+	cfg.WatchdogCycles = flags.Watchdog
+	var err error
+	if cfg.Faults, err = faults.ResolveFlag(*faultsFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 	if quick {
@@ -112,87 +106,13 @@ func main() {
 		loads = append(loads, l)
 	}
 
-	stopProf, err := obsFlags.Start()
+	sess, err := flags.Open("sweep", len(loads), 2*time.Second)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-	ctx, stop := resilience.SignalContext(context.Background())
-	defer stop()
-	opts := core.Options{Logger: obsFlags.Logger(), Context: ctx, SelfCheck: *selfCheck, Shards: *shards}
-	ckpt, err := resFlags.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	if ckpt != nil {
-		if resFlags.Resume && ckpt.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resuming past %d checkpointed runs in %s\n", ckpt.Len(), ckpt.Path())
-		}
-		opts.Checkpoint = ckpt
-	}
-	var profiler *obs.StageProfiler
-	var progress *obs.Progress
-	if obsFlags.Verbose {
-		profiler = obs.NewStageProfiler()
-		progress = obs.NewProgress(os.Stderr, len(loads), 2*time.Second)
-		progress.Start()
-		opts.Profiler = profiler
-		opts.Progress = progress
-	}
-	tel, telAddr, telStop, err := telFlags.Open(resFlags.Resume)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	if tel != nil {
-		if tel.Server != nil {
-			// Grid progress is served even without -v: an unstarted
-			// Progress never prints but still snapshots.
-			if progress == nil {
-				progress = obs.NewProgress(os.Stderr, len(loads), 2*time.Second)
-				opts.Progress = progress
-			}
-			tel.Server.SetProgress(progress)
-			fmt.Fprintf(os.Stderr, "sweep: serving telemetry on http://%s/metrics\n", telAddr)
-		}
-		opts.Telemetry = tel
-	}
-	if manifestPath != "" {
-		mf, err := os.Create(manifestPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		defer mf.Close()
-		opts.Manifest = obs.NewManifestWriter(mf)
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		fmt.Fprintf(os.Stderr, "sweep: store %s holds %d results\n", *storeDir, st.Len())
-		opts.Store = st
-	}
-
-	swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), opts)
-	progress.Stop()
-	if ckpt != nil {
-		if cerr := ckpt.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if terr := telStop(); terr != nil && err == nil {
-		err = terr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		if ckpt != nil {
-			fmt.Fprintf(os.Stderr, "sweep: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", ckpt.Path(), ckpt.Len())
-		}
+	swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), sess.Options)
+	if err := sess.Close(err); err != nil {
 		os.Exit(1)
 	}
 
@@ -220,8 +140,7 @@ func main() {
 		} {
 			rendered, err := ch.Render()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
+				sess.Fatal(err)
 			}
 			fmt.Println()
 			fmt.Print(rendered)
@@ -244,30 +163,18 @@ func main() {
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
+			sess.Fatal(err)
 		}
 		defer f.Close()
 		if err := results.WriteCSV(f, headers, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
+			sess.Fatal(err)
 		}
 		fmt.Printf("series written to %s\n", csvPath)
 	}
-	if manifestPath != "" {
-		fmt.Printf("run manifest written to %s\n", manifestPath)
+	if flags.Manifest != "" {
+		fmt.Printf("run manifest written to %s\n", flags.Manifest)
 	}
-	if telFlags.SidecarPath != "" {
-		fmt.Printf("time series written to %s\n", telFlags.SidecarPath)
-	}
-
-	if profiler != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprintln(os.Stderr, "per-stage engine timing (hottest first):")
-		fmt.Fprint(os.Stderr, obs.FormatStageReport(profiler.Report()))
-	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+	if flags.Telemetry.SidecarPath != "" {
+		fmt.Printf("time series written to %s\n", flags.Telemetry.SidecarPath)
 	}
 }

@@ -185,22 +185,6 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestReplicateWorkerCountIrrelevant(t *testing.T) {
-	cfg := small(NetworkCube, AlgDuato, 4)
-	cfg.Load = 0.3
-	serial, err := Replicate(cfg, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Replicate(cfg, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.MeanAccepted != parallel.MeanAccepted || serial.MeanLatencyCycles != parallel.MeanLatencyCycles {
-		t.Fatal("replication results depend on worker count")
-	}
-}
-
 func TestWithDefaultsIdempotent(t *testing.T) {
 	cfgs := append(PaperConfigs(), Config{}, Config{Network: NetworkMesh})
 	for _, cfg := range cfgs {

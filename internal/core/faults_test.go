@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"smart/internal/obs"
-	"smart/internal/resilience"
 	"smart/internal/sim"
+	"smart/internal/store"
 	"smart/internal/wormhole"
 )
 
@@ -226,31 +225,25 @@ func TestFaultedSweepResumesToIdenticalDigest(t *testing.T) {
 	}
 	refDigest := obs.Digest(refRecs)
 
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	ckpt, err := resilience.Open(path, false)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepWith(base, loads[:2], 2, opts(Options{Checkpoint: ckpt})); err != nil {
+	if _, err := SweepWith(base, loads[:2], 2, opts(Options{Store: st})); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	tearActiveSegment(t, dir)
 
-	resumed, err := resilience.Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var resManifest bytes.Buffer
 	_, err = SweepWith(base, loads, 2, opts(Options{
-		Checkpoint: resumed,
-		Manifest:   obs.NewManifestWriter(&resManifest),
+		Store:    openStore(t, dir),
+		Manifest: obs.NewManifestWriter(&resManifest),
 	}))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
 		t.Fatal(err)
 	}
 	resRecs, err := obs.DecodeManifest(bytes.NewReader(resManifest.Bytes()))

@@ -30,21 +30,17 @@ type Options struct {
 	Progress *obs.Progress
 	// Manifest, when set, receives one JSONL record per completed run.
 	Manifest *obs.ManifestWriter
-	// Checkpoint, when set, journals each completed run as it finishes
-	// and replays already-journaled configs instead of re-running them —
-	// the resume half of the kill-and-resume contract.
-	Checkpoint *resilience.Checkpoint
 	// Store, when set, is a persistent read-through result cache keyed
 	// by config fingerprint (internal/store): a config the store holds
 	// is not re-run — its cached record is digest-verified, re-stamped
 	// with this run's Batch/Index position, and replayed into the
-	// manifest exactly like a checkpoint hit — and every completed run
-	// is written back. Unlike a checkpoint (one grid's journal), a store
-	// is shared across invocations, commands, and the sweep service.
+	// manifest — and every completed run is written back as it
+	// finishes. It is also the resume half of the kill-and-resume
+	// contract: a command's -checkpoint is a store the grid opened.
 	Store *store.Store
 	// Context, when set, interrupts a grid: runs not yet started when it
 	// is cancelled are skipped (reported as interrupted, not failed),
-	// while in-flight runs complete and reach the checkpoint.
+	// while in-flight runs complete and reach the store.
 	Context context.Context
 	// Batch and Index stamp manifest records and errors with the run's
 	// position in an enclosing study; SweepWith and Batch.RunWith set
@@ -65,31 +61,24 @@ type Options struct {
 	// automatic count from GOMAXPROCS and the fabric size, larger values
 	// are explicit. Results are bit-identical for every value; the
 	// effective count is recorded in the manifest as a log-only field
-	// that the digest ignores, so checkpoints replay across shard
+	// that the digest ignores, so stored runs replay across shard
 	// counts.
 	Shards int
 }
 
 // observed reports whether any observer is attached.
 func (o Options) observed() bool {
-	return o.Logger != nil || o.Profiler != nil || o.Progress != nil || o.Manifest != nil || o.Checkpoint != nil || o.Store != nil || o.Telemetry != nil
+	return o.Logger != nil || o.Profiler != nil || o.Progress != nil || o.Manifest != nil || o.Store != nil || o.Telemetry != nil
 }
 
 // RunWith executes one experiment with the paper's methodology under the
 // given observers. With zero Options it is exactly Run. A config whose
-// fingerprint the checkpoint records as done is not re-run: its
-// journaled record is replayed into the manifest verbatim. A store hit
-// replays the same way, except the cached record — stored
+// fingerprint the store holds is not re-run: the cached record — stored
 // position-free, since the store is addressed by config content — is
-// first re-stamped with this run's Batch and Index, so a read-through
-// grid's manifest digests identically to an uncached one.
+// re-stamped with this run's Batch and Index and replayed into the
+// manifest, so a read-through or resumed grid's manifest digests
+// identically to an uncached one.
 func RunWith(cfg Config, opts Options) (Result, error) {
-	if opts.Checkpoint != nil {
-		full := cfg.WithDefaults()
-		if rec, ok := opts.Checkpoint.Done(full.Fingerprint()); ok {
-			return replayRun(full, rec, "checkpoint", opts)
-		}
-	}
 	if opts.Store != nil {
 		full := cfg.WithDefaults()
 		rec, _, ok, err := opts.Store.Get(full.Fingerprint())
@@ -98,7 +87,7 @@ func RunWith(cfg Config, opts Options) (Result, error) {
 		}
 		if ok {
 			rec.Batch, rec.Index = opts.Batch, opts.Index
-			return replayRun(full, rec, "store", opts)
+			return replayRun(full, rec, opts)
 		}
 	}
 	s, err := NewSimulationShards(cfg, opts.Shards)
@@ -112,27 +101,19 @@ func RunWith(cfg Config, opts Options) (Result, error) {
 	return s.RunWith(opts)
 }
 
-// replayRun reconstructs a checkpointed run's Result and re-emits its
-// journaled manifest record, so a resumed grid's manifest is
-// indistinguishable (modulo wall time and completion order) from an
-// uninterrupted one.
-func replayRun(cfg Config, rec obs.RunRecord, source string, opts Options) (Result, error) {
+// replayRun reconstructs a cached run's Result and re-emits its
+// manifest record, so a resumed grid's manifest is indistinguishable
+// (modulo wall time and completion order) from an uninterrupted one.
+func replayRun(cfg Config, rec obs.RunRecord, opts Options) (Result, error) {
 	res, err := ResultFromRecord(rec)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: replaying cached run %s: %w", rec.Fingerprint, err)
 	}
 	if logger := obs.RunLogger(opts.Logger, cfg.Fingerprint(), cfg.Label(), cfg.Pattern, cfg.Seed, cfg.Load); logger != nil {
-		logger.Info("run replayed from cache", "source", source, "cycles", rec.Cycles)
+		logger.Info("run replayed from cache", "source", "store", "cycles", rec.Cycles)
 	}
 	if opts.Progress != nil {
 		opts.Progress.RunDone(cfg.Load, rec.Cycles)
-	}
-	if opts.Store != nil {
-		// A checkpoint hit back-fills the store; a store hit re-puts
-		// identical content, which Put drops by digest.
-		if _, err := opts.Store.Put(rec); err != nil {
-			return res, fmt.Errorf("core: store write-back: %w", err)
-		}
 	}
 	if opts.Manifest != nil {
 		if err := opts.Manifest.Write(rec); err != nil {
@@ -201,13 +182,10 @@ func (s *Simulation) RunWith(opts Options) (Result, error) {
 	if opts.Progress != nil {
 		opts.Progress.RunDone(cfg.Load, cycles)
 	}
-	if opts.Manifest != nil || opts.Checkpoint != nil || opts.Store != nil {
+	if opts.Manifest != nil || opts.Store != nil {
 		rec, rerr := runRecord(res, cycles, wall, s.Shards, opts)
-		if rerr == nil && opts.Checkpoint != nil {
-			// Journal before the manifest: a kill between the two writes
-			// must not leave a manifest record the journal forgot.
-			rerr = opts.Checkpoint.Record(rec)
-		}
+		// Store before the manifest: a kill between the two writes must
+		// not leave a manifest record the store forgot.
 		if rerr == nil && opts.Store != nil {
 			_, rerr = opts.Store.Put(rec)
 		}

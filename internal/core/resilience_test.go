@@ -12,6 +12,7 @@ import (
 
 	"smart/internal/obs"
 	"smart/internal/resilience"
+	"smart/internal/store"
 )
 
 func TestRunAllIsolatesPanics(t *testing.T) {
@@ -97,29 +98,27 @@ func TestSweepSkipsRunsAfterCancellation(t *testing.T) {
 	}
 }
 
+// TestRunWithReplaysCheckpointedRun checks the resume half of the
+// kill-and-resume contract at the run level: a config the -checkpoint
+// store holds is replayed, not re-run, and its manifest record is
+// re-emitted verbatim (same wall time).
 func TestRunWithReplaysCheckpointedRun(t *testing.T) {
-	dir := t.TempDir()
-	ckpt, err := resilience.Open(filepath.Join(dir, "ckpt.jsonl"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	var first bytes.Buffer
 	res1, err := RunWith(smallCfg(), Options{
-		Checkpoint: ckpt,
-		Manifest:   obs.NewManifestWriter(&first),
+		Store:    st,
+		Manifest: obs.NewManifestWriter(&first),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ckpt.Len() != 1 {
-		t.Fatalf("checkpoint journaled %d runs", ckpt.Len())
+	if st.Len() != 1 {
+		t.Fatalf("store holds %d runs", st.Len())
 	}
-	// Second invocation with the same checkpoint must replay, not re-run,
-	// and re-emit the journaled record verbatim (same wall time).
 	var second bytes.Buffer
 	res2, err := RunWith(smallCfg(), Options{
-		Checkpoint: ckpt,
-		Manifest:   obs.NewManifestWriter(&second),
+		Store:    st,
+		Manifest: obs.NewManifestWriter(&second),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,22 @@ func TestRunWithReplaysCheckpointedRun(t *testing.T) {
 	if first.String() != second.String() {
 		t.Fatalf("replayed manifest record is not verbatim:\nran      %s\nreplayed %s", first.String(), second.String())
 	}
-	if err := ckpt.Close(); err != nil {
+}
+
+// tearActiveSegment simulates a kill mid-append: half an entry with no
+// trailing newline at the end of the store's active segment.
+func tearActiveSegment(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no store segments in %s (%v)", dir, err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(`{"schema":"smart/store/v1","fingerprint":"torn`); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -155,45 +169,32 @@ func TestInterruptedSweepResumesToIdenticalManifest(t *testing.T) {
 	}
 	refDigest := obs.Digest(refRecs)
 
-	// Interrupted: only the first half of the grid reaches the journal,
+	// Interrupted: only the first half of the grid reaches the store,
 	// and the kill tears the final line mid-write.
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	ckpt, err := resilience.Open(path, false)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepWith(base, loads[:2], 2, opts(Options{Checkpoint: ckpt})); err != nil {
+	if _, err := SweepWith(base, loads[:2], 2, opts(Options{Store: st})); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"schema":"smart/run/v2","torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearActiveSegment(t, dir)
 
-	// Resumed: the full grid against the interrupted journal.
-	resumed, err := resilience.Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Resumed: the full grid against the interrupted store.
+	resumed := openStore(t, dir)
 	if resumed.Len() != 2 {
-		t.Fatalf("resumed checkpoint sees %d completed runs, want 2", resumed.Len())
+		t.Fatalf("resumed store sees %d completed runs, want 2", resumed.Len())
 	}
 	var resManifest bytes.Buffer
 	resResults, err := SweepWith(base, loads, 2, opts(Options{
-		Checkpoint: resumed,
-		Manifest:   obs.NewManifestWriter(&resManifest),
+		Store:    resumed,
+		Manifest: obs.NewManifestWriter(&resManifest),
 	}))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
 		t.Fatal(err)
 	}
 

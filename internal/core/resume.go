@@ -12,7 +12,7 @@ import (
 // the config is decoded and re-defaulted, verified against the record's
 // fingerprint, and the absolute-unit figures are recomputed from the
 // stored sample through the same cost-model path a live run uses. This
-// is how a resumed grid hands back checkpointed runs without
+// is how a resumed or read-through grid hands back stored runs without
 // re-simulating them.
 func ResultFromRecord(rec obs.RunRecord) (Result, error) {
 	if rec.Failure != "" {

@@ -77,60 +77,6 @@ func TestFindSaturationValidation(t *testing.T) {
 	}
 }
 
-func TestReplicateAggregates(t *testing.T) {
-	cfg := bisectBase()
-	cfg.Load = 0.3
-	rep, err := Replicate(cfg, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != 4 || len(rep.Results) != 4 {
-		t.Fatalf("replication shape %+v", rep)
-	}
-	// Below saturation the mean accepted tracks offered tightly.
-	if math.Abs(rep.MeanAccepted-0.3) > 0.05 {
-		t.Fatalf("mean accepted %v at offered 0.3", rep.MeanAccepted)
-	}
-	if rep.AcceptedCI < 0 || rep.LatencyCyclesCI < 0 {
-		t.Fatal("negative confidence half-width")
-	}
-	if rep.MeanLatencyCycles <= 0 {
-		t.Fatal("latency not aggregated")
-	}
-	// Distinct seeds must actually differ.
-	if rep.Results[0].Sample.PacketsDelivered == rep.Results[1].Sample.PacketsDelivered &&
-		rep.Results[0].Sample.AvgLatency == rep.Results[1].Sample.AvgLatency {
-		t.Fatal("replicas look identical; seeds not varied")
-	}
-}
-
-func TestReplicateValidation(t *testing.T) {
-	if _, err := Replicate(bisectBase(), 1, 1); err == nil {
-		t.Error("single-run replication accepted")
-	}
-	bad := bisectBase()
-	bad.Algorithm = "nonsense"
-	if _, err := Replicate(bad, 3, 1); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
-func TestMeanCI95(t *testing.T) {
-	mean, hw := meanCI95([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(mean-5) > 1e-12 {
-		t.Fatalf("mean %v, want 5", mean)
-	}
-	// Sample variance of this classic set is 32/7; hw = 1.96*sqrt(32/7/8).
-	want := 1.96 * math.Sqrt(32.0/7.0/8.0)
-	if math.Abs(hw-want) > 1e-12 {
-		t.Fatalf("half-width %v, want %v", hw, want)
-	}
-	mean, hw = meanCI95([]float64{3, 3, 3})
-	if mean != 3 || hw != 0 {
-		t.Fatalf("constant sample gave (%v,%v)", mean, hw)
-	}
-}
-
 func TestMeshConfigRuns(t *testing.T) {
 	cfg := Config{
 		Network: NetworkMesh, Algorithm: AlgDuato, VCs: 4,

@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"smart/internal/obs"
-	"smart/internal/resilience"
 	"smart/internal/store"
 )
 
@@ -114,45 +112,5 @@ func TestStoreHitRestampsPosition(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Batch != "beta" || recs[0].Index != 2 {
 		t.Fatalf("replayed manifest record not re-stamped with the caller's position: %+v", recs)
-	}
-}
-
-// TestCheckpointHitBackfillsStore checks the two caches compose: a run
-// already journaled by a checkpoint is replayed (not executed) and its
-// record still lands in the store.
-func TestCheckpointHitBackfillsStore(t *testing.T) {
-	dir := t.TempDir()
-	cfg := smallCfg()
-
-	cp, err := resilience.Open(filepath.Join(dir, "runs.journal"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	if _, err := RunWith(cfg, Options{Checkpoint: cp}); err != nil {
-		t.Fatal(err)
-	}
-
-	st := openStore(t, filepath.Join(dir, "store"))
-	var logs bytes.Buffer
-	if _, err := RunWith(cfg, Options{
-		Checkpoint: cp,
-		Store:      st,
-		Logger:     obs.NewLogger(&logs, obs.FormatJSON),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(logs.String(), `"source":"checkpoint"`) {
-		t.Fatalf("second run was not a checkpoint replay:\n%s", logs.String())
-	}
-	if st.Len() != 1 {
-		t.Fatalf("store holds %d records, want 1 (back-filled from the checkpoint)", st.Len())
-	}
-	rec, _, ok, err := st.Get(cfg.Fingerprint())
-	if err != nil || !ok {
-		t.Fatalf("back-filled record missing: ok=%v err=%v", ok, err)
-	}
-	if rec.Batch != "" || rec.Index != 0 {
-		t.Fatalf("back-filled record not canonicalized: batch=%q index=%d", rec.Batch, rec.Index)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"smart/internal/resilience"
+	"smart/internal/store"
 	"smart/internal/telemetry"
 )
 
@@ -97,16 +97,16 @@ func TestTelemetryDisabledAddsNoStage(t *testing.T) {
 }
 
 // TestResumedRunDoesNotDuplicateSidecar checks the resume contract end
-// to end at the run level: a checkpointed config replayed with -resume
-// never re-runs, so it never re-records, and the resumed sidecar holds
-// the run's series exactly once.
+// to end at the run level: a config the -checkpoint store holds is
+// replayed with -resume and never re-runs, so it never re-records, and
+// the resumed sidecar holds the run's series exactly once.
 func TestResumedRunDoesNotDuplicateSidecar(t *testing.T) {
 	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "runs.ckpt")
+	ckptDir := filepath.Join(dir, "runs.ckpt")
 	scPath := filepath.Join(dir, "series.jsonl")
 	cfg := telemetryTestConfig()
 
-	ckpt, err := resilience.Open(ckptPath, false)
+	st, err := store.Open(ckptDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,27 +114,22 @@ func TestResumedRunDoesNotDuplicateSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWith(cfg, Options{Checkpoint: ckpt, Telemetry: &telemetry.Options{Sidecar: sc}}); err != nil {
+	if _, err := RunWith(cfg, Options{Store: st, Telemetry: &telemetry.Options{Sidecar: sc}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	ckpt, err = resilience.Open(ckptPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ckpt.Close()
 	sc, err = telemetry.OpenSidecar(scPath, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	if _, err := RunWith(cfg, Options{Checkpoint: ckpt, Telemetry: &telemetry.Options{Sidecar: sc}}); err != nil {
+	if _, err := RunWith(cfg, Options{Store: openStore(t, ckptDir), Telemetry: &telemetry.Options{Sidecar: sc}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -212,12 +212,3 @@ func (s Series) PostSaturationStability(tolerance float64) (float64, bool) {
 	}
 	return lo / hi, true
 }
-
-// MaxAccepted returns the largest accepted bandwidth in the series.
-func (s Series) MaxAccepted() float64 {
-	best := 0.0
-	for _, smp := range s {
-		best = math.Max(best, smp.Accepted)
-	}
-	return best
-}

@@ -268,14 +268,3 @@ func TestPostSaturationStability(t *testing.T) {
 		t.Fatalf("degrading series ratio (%v,%v), want = 0.25/0.5", ratio, ok)
 	}
 }
-
-func TestMaxAccepted(t *testing.T) {
-	s := Series{{Accepted: 0.1}, {Accepted: 0.7}, {Accepted: 0.4}}
-	if got := s.MaxAccepted(); got != 0.7 {
-		t.Fatalf("MaxAccepted = %v", got)
-	}
-	var empty Series
-	if got := empty.MaxAccepted(); got != 0 {
-		t.Fatalf("empty MaxAccepted = %v", got)
-	}
-}

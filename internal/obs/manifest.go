@@ -66,7 +66,7 @@ type RunRecord struct {
 	// Shards is the effective fabric shard count when the run executed
 	// on the parallel engine (omitted for sequential runs). Execution
 	// detail only: results are bit-identical across shard counts, so
-	// Digest zeroes it and checkpoints replay regardless of it.
+	// Digest zeroes it and stored runs replay regardless of it.
 	//
 	//smartlint:undigested
 	Shards int `json:"shards,omitempty"`

@@ -146,7 +146,9 @@ func (p *Progress) Start() {
 	}()
 }
 
-// Stop halts the ticker (if running) and emits a final line.
+// Stop halts the ticker and emits a final line. A reporter that is not
+// running — never started, or already stopped — stays silent, so Stop
+// is safe to call more than once.
 func (p *Progress) Stop() {
 	if p == nil {
 		return
@@ -155,9 +157,10 @@ func (p *Progress) Stop() {
 	stop := p.stop
 	p.stop = nil
 	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		p.wg.Wait()
+	if stop == nil {
+		return
 	}
+	close(stop)
+	p.wg.Wait()
 	p.Emit()
 }

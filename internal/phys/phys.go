@@ -155,37 +155,6 @@ func LinkCount(top topology.Topology) (int, error) {
 	}
 }
 
-// PeakBandwidthBytes returns the aggregate peak bandwidth in bytes per
-// cycle: links x flit width x two directions. The normalization equalizes
-// it across the two families (the tree has twice the links, the cube
-// twice the width).
-func PeakBandwidthBytes(top topology.Topology) (int, error) {
-	links, err := LinkCount(top)
-	if err != nil {
-		return 0, err
-	}
-	fb, err := FlitBytes(top)
-	if err != nil {
-		return 0, err
-	}
-	return links * fb * 2, nil
-}
-
-// PinEquivalentWidth returns arity x flit width for a router of the
-// family — the pin count proxy the paper equalizes (8 links x 2 bytes on
-// the tree switch, 4 links x 4 bytes on the cube router, node connections
-// excluded).
-func PinEquivalentWidth(top topology.Topology) (int, error) {
-	switch t := top.(type) {
-	case *topology.Tree:
-		return 2 * t.K * TreeFlitBytes, nil
-	case *topology.Cube:
-		return 2 * t.N * CubeFlitBytes, nil
-	default:
-		return 0, fmt.Errorf("phys: unknown topology family %T", top)
-	}
-}
-
 // ThroughputBitsPerNS converts an accepted load fraction into the
 // aggregate network throughput in bits per nanosecond, given the
 // configuration's clock period in nanoseconds — the y axis of Figure

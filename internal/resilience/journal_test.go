@@ -10,8 +10,8 @@ import (
 )
 
 // DedupJournal is the one fingerprint-dedup implementation shared by
-// the checkpoint journal, the telemetry sidecar and the result store
-// index; this is its contract test.
+// the telemetry sidecar and the result store index; this is its
+// contract test.
 func TestDedupJournalLastWriteWins(t *testing.T) {
 	lines := []string{
 		`{"fp":"a","v":1}`,

@@ -1,9 +1,13 @@
 // Package resilience keeps long experiment campaigns alive through
 // pathological configurations: it isolates panics at run boundaries,
-// journals completed runs to a checkpoint so an interrupted grid can
-// resume without recomputing, and converts termination signals into
-// context cancellation so interruption flushes state instead of
-// dropping it.
+// converts termination signals into context cancellation so
+// interruption flushes state instead of dropping it, bounds how long a
+// run may go without progress (DefaultWatchdogCycles), and holds the
+// torn-tail-tolerant JSONL journal primitives (ScanJournal,
+// DedupJournal, TruncateTail) that the result store's segments and the
+// telemetry sidecar are built on. Resuming an interrupted grid is the
+// result store's job: a command's -checkpoint is a store the grid
+// opened (internal/store, internal/cli).
 //
 // This package is the only place in the tree allowed to call recover
 // (enforced by the smartlint nakedrecover rule): panic isolation is a
@@ -14,6 +18,11 @@ import (
 	"fmt"
 	"runtime/debug"
 )
+
+// DefaultWatchdogCycles is the commands' default no-progress budget: far
+// above any transient congestion stall at the loads the harness sweeps,
+// far below losing hours to a hung grid.
+const DefaultWatchdogCycles = 20000
 
 // PanicError is a panic recovered at a run boundary, carrying the
 // panic value and the goroutine stack at the point of the panic.

@@ -8,7 +8,7 @@ import (
 )
 
 // SignalContext returns a context cancelled on the first SIGINT or
-// SIGTERM, so commands can flush checkpoints and partial manifests
+// SIGTERM, so commands can flush their stores and partial manifests
 // before exiting. After the first signal the default disposition is
 // restored: a second signal kills the process immediately, keeping an
 // impatient Ctrl-C Ctrl-C working. The returned stop function releases

@@ -50,22 +50,6 @@ func FormatTable(headers []string, rows [][]string) string {
 	return b.String()
 }
 
-// FormatMarkdownTable renders a GitHub-flavoured markdown table; the
-// EXPERIMENTS.md generator uses it.
-func FormatMarkdownTable(headers []string, rows [][]string) string {
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(headers, " | ") + " |\n")
-	rule := make([]string, len(headers))
-	for i := range rule {
-		rule[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(rule, " | ") + " |\n")
-	for _, row := range rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}
-
 // WriteCSV emits a simple comma-separated table. Cells are expected not
 // to contain commas (all emitters here produce numeric or label cells).
 func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
@@ -114,23 +98,6 @@ func CNFRows(results []core.Result) ([]string, [][]string) {
 			fmt.Sprintf("%.1f", r.Sample.AvgLatency),
 			fmt.Sprintf("%.1f", r.Sample.P95Latency),
 			fmt.Sprintf("%d", r.Sample.PacketsDelivered),
-		}
-	}
-	return headers, rows
-}
-
-// AbsoluteRows renders sweep results in the absolute units of Figure 7:
-// aggregate offered and accepted traffic in bits per nanosecond and mean
-// latency in nanoseconds, after the router-complexity and wire-delay
-// filtering of §10.
-func AbsoluteRows(results []core.Result) ([]string, [][]string) {
-	headers := []string{"offered_bits_ns", "accepted_bits_ns", "latency_ns"}
-	rows := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = []string{
-			fmt.Sprintf("%.1f", r.OfferedBitsNS),
-			fmt.Sprintf("%.1f", r.AcceptedBitsNS),
-			fmt.Sprintf("%.1f", r.LatencyNS),
 		}
 	}
 	return headers, rows

@@ -28,14 +28,6 @@ func TestFormatTableAlignment(t *testing.T) {
 	}
 }
 
-func TestFormatMarkdownTable(t *testing.T) {
-	out := FormatMarkdownTable([]string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
-	want := "| a | b |\n| --- | --- |\n| 1 | 2 |\n| 3 | 4 |\n"
-	if out != want {
-		t.Fatalf("markdown table %q, want %q", out, want)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	var b strings.Builder
 	err := WriteCSV(&b, []string{"x", "y"}, [][]string{{"1", "2"}, {"3", "4"}})
@@ -77,13 +69,6 @@ func TestCNFRows(t *testing.T) {
 	}
 	if rows[0][0] != "0.200" || rows[1][1] != "0.3500" || rows[0][2] != "60.0" {
 		t.Fatalf("rows %v", rows)
-	}
-}
-
-func TestAbsoluteRows(t *testing.T) {
-	headers, rows := AbsoluteRows(fakeResults())
-	if len(headers) != 3 || rows[1][0] != "210.0" || rows[1][2] != "760.0" {
-		t.Fatalf("absolute rows %v %v", headers, rows)
 	}
 }
 

@@ -7,7 +7,7 @@
 // On disk a store is a directory of JSONL segment files
 // (seg-000001.jsonl, seg-000002.jsonl, ...), each line one Entry in the
 // smart/store/v1 schema. Segments are append-only and inherit the
-// torn-tail tolerance of the checkpoint journal (internal/resilience):
+// torn-tail tolerance of the journal primitives in internal/resilience:
 // a process killed mid-append leaves a partial final line that the next
 // Open truncates away, and everything before it survives. Writes go to
 // the highest-numbered (active) segment, which rolls over at a size

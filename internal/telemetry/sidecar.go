@@ -73,7 +73,7 @@ func RecordOf(s *Sampler) Record {
 // with resume it loads the already-recorded fingerprints, and Write
 // drops duplicates — so a kill-and-resume sweep produces a sidecar with
 // each run's series exactly once. The file tolerates the same torn tail
-// the checkpoint journal does.
+// the result store's segments do (resilience.ScanJournal).
 type Sidecar struct {
 	//smartlint:allow concurrency — telemetry sidecar is off the cycle path; the mutex serializes writer access
 	mu     sync.Mutex

@@ -20,22 +20,16 @@ type Event struct {
 	Router, InPort, InLane, OutPort, OutLane int
 }
 
-// Recorder captures the timelines of the first Limit packets (by id) and
-// their delivery cycles. A zero Limit records everything — use with care
-// on long runs.
+// Recorder captures the routing timelines of the first Limit packets
+// (by id). A zero Limit records everything — use with care on long runs.
 type Recorder struct {
-	Limit     int
-	events    map[wormhole.PacketID][]Event
-	delivered map[wormhole.PacketID]int64
+	Limit  int
+	events map[wormhole.PacketID][]Event
 }
 
 // NewRecorder returns a recorder for the first limit packets.
 func NewRecorder(limit int) *Recorder {
-	return &Recorder{
-		Limit:     limit,
-		events:    map[wormhole.PacketID][]Event{},
-		delivered: map[wormhole.PacketID]int64{},
-	}
+	return &Recorder{Limit: limit, events: map[wormhole.PacketID][]Event{}}
 }
 
 // HeaderRouted implements wormhole.Tracer.
@@ -49,13 +43,10 @@ func (r *Recorder) HeaderRouted(cycle int64, pkt wormhole.PacketID, router, inPo
 	})
 }
 
-// PacketDelivered implements wormhole.Tracer.
-func (r *Recorder) PacketDelivered(cycle int64, pkt wormhole.PacketID) {
-	if r.Limit > 0 && int(pkt) >= r.Limit {
-		return
-	}
-	r.delivered[pkt] = cycle
-}
+// PacketDelivered implements wormhole.Tracer. Delivery times are read
+// from the fabric's packet table (Fabric.Packet), so there is nothing
+// to record.
+func (r *Recorder) PacketDelivered(cycle int64, pkt wormhole.PacketID) {}
 
 // Packets returns the recorded packet ids in order.
 func (r *Recorder) Packets() []wormhole.PacketID {
@@ -64,14 +55,6 @@ func (r *Recorder) Packets() []wormhole.PacketID {
 
 // Events returns the recorded routing events of one packet.
 func (r *Recorder) Events(pkt wormhole.PacketID) []Event { return r.events[pkt] }
-
-// DeliveredAt returns the tail-delivery cycle, or -1 if unrecorded.
-func (r *Recorder) DeliveredAt(pkt wormhole.PacketID) int64 {
-	if c, ok := r.delivered[pkt]; ok {
-		return c
-	}
-	return -1
-}
 
 // RouterNamer annotates router and port indices with topology-specific
 // labels ("switch (2, 14)" / "up 3"); internal/topology's families are

@@ -36,7 +36,7 @@ func tracedTreeRun(t *testing.T, limit int) (*Recorder, *wormhole.Fabric, *topol
 }
 
 func TestRecorderCapturesTimelines(t *testing.T) {
-	rec, f, tree := tracedTreeRun(t, 0)
+	rec, _, _ := tracedTreeRun(t, 0)
 	ids := rec.Packets()
 	if len(ids) != 3 {
 		t.Fatalf("recorded %d packets, want 3", len(ids))
@@ -51,13 +51,6 @@ func TestRecorderCapturesTimelines(t *testing.T) {
 			t.Fatal("events out of order")
 		}
 	}
-	if rec.DeliveredAt(0) != f.Packet(0).TailAt {
-		t.Fatalf("delivery cycle %d, want %d", rec.DeliveredAt(0), f.Packet(0).TailAt)
-	}
-	if rec.DeliveredAt(99) != -1 {
-		t.Fatal("unknown packet should report -1")
-	}
-	_ = tree
 }
 
 func TestRecorderLimit(t *testing.T) {
