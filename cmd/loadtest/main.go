@@ -187,10 +187,10 @@ func startInProcess(dir string, clients int) (func(), string, error) {
 		return nil, "", err
 	}
 	svc := serve.New(st, serve.Options{Queue: clients * 2})
-	ln, err := svc.Serve("127.0.0.1:0")
+	_, ln, err := obs.Listen("127.0.0.1:0", svc.Handler())
 	if err != nil {
 		st.Close()
-		return nil, "", err
+		return nil, "", fmt.Errorf("serve: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "loadtest: in-process server on http://%s (store %s)\n", ln.Addr(), dir)
 	return func() { ln.Close(); st.Close() }, "http://" + ln.Addr().String(), nil

@@ -26,8 +26,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -74,14 +72,12 @@ func main() {
 	defer stop()
 
 	svc := serve.New(st, opts)
-	ln, err := net.Listen("tcp", *addr)
+	srv, ln, err := obs.Listen(*addr, svc.Handler())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		st.Close()
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
-	go srv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "serve: store %s holds %d results\n", *dir, st.Len())
 	fmt.Fprintf(os.Stderr, "serve: serving on http://%s\n", ln.Addr())
 

@@ -14,9 +14,10 @@ import (
 	"fmt"
 	"log"
 
+	"smart/internal/analysis"
 	"smart/internal/core"
-	"smart/internal/metrics"
 	"smart/internal/plot"
+	"smart/internal/telemetry"
 )
 
 func main() {
@@ -34,21 +35,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ts, err := metrics.NewTimeSeries(sm.Fabric, 250)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ts.Register(sm.Engine)
+	sp := telemetry.NewSampler(sm.Fabric, sm.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 250})
+	sp.Register(sm.Engine)
 	if _, err := sm.Run(); err != nil {
 		log.Fatal(err)
 	}
+	rates, err := analysis.Rates(telemetry.RecordOf(sp))
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	points := ts.Points()
-	xs := make([]float64, len(points))
-	ys := make([]float64, len(points))
-	for i, p := range points {
+	nodes := float64(sm.Fabric.Top.Nodes())
+	xs := make([]float64, len(rates))
+	ys := make([]float64, len(rates))
+	for i, p := range rates {
 		xs[i] = float64(p.Cycle)
-		ys[i] = p.Throughput
+		ys[i] = p.DeliveryRate / nodes
 	}
 	chart := plot.Chart{
 		Title:  fmt.Sprintf("throughput ramp, %s at %.0f%% load", sm.Config.Label(), 100*cfg.Load),
@@ -62,7 +64,7 @@ func main() {
 	}
 	fmt.Print(out)
 	fmt.Println()
-	if cycle, ok := ts.SteadyStateBy(0.10); ok {
+	if cycle, ok := analysis.SteadyStateBy(rates, 0.10); ok {
 		fmt.Printf("throughput within 10%% of its final value from cycle %d on\n", cycle)
 		if cycle <= cfg.Warmup {
 			fmt.Printf("=> the paper's %d-cycle warm-up is sufficient at this load\n", cfg.Warmup)

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"testing"
 
 	"smart/internal/routing"
@@ -14,6 +13,15 @@ import (
 // run simulates uniform traffic on a 16-node cube and returns the fabric,
 // the cube and the horizon.
 func run(t *testing.T, rate float64, storeAndForward bool) (*wormhole.Fabric, *topology.Cube, int64) {
+	t.Helper()
+	f, cube, e := newCube(t, rate, storeAndForward)
+	const horizon = 6000
+	e.Run(horizon)
+	return f, cube, horizon
+}
+
+// newCube assembles run's fabric and engine without running them.
+func newCube(t *testing.T, rate float64, storeAndForward bool) (*wormhole.Fabric, *topology.Cube, *sim.Engine) {
 	t.Helper()
 	cube, err := topology.NewCube(4, 2)
 	if err != nil {
@@ -37,115 +45,7 @@ func run(t *testing.T, rate float64, storeAndForward bool) (*wormhole.Fabric, *t
 	e := sim.NewEngine()
 	inj.Register(e)
 	f.Register(e)
-	const horizon = 6000
-	e.Run(horizon)
-	return f, cube, horizon
-}
-
-func TestLatencyHistogramAccountsAllPackets(t *testing.T) {
-	f, _, horizon := run(t, 0.02, false)
-	buckets, err := LatencyHistogram(f, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total, delivered int64
-	for _, b := range buckets {
-		if b.Hi != b.Lo*2 {
-			t.Fatalf("bucket bounds wrong: %+v", b)
-		}
-		total += b.Count
-	}
-	for i := range f.Packets {
-		if f.Packets[i].Delivered() && f.Packets[i].TailAt < horizon {
-			delivered++
-		}
-	}
-	if total != delivered {
-		t.Fatalf("histogram holds %d packets, delivered %d", total, delivered)
-	}
-	// Sanity: every packet needs at least the worm length (8 flits), so
-	// the first buckets must be empty.
-	for _, b := range buckets {
-		if b.Hi <= 8 && b.Count > 0 {
-			t.Fatalf("impossible latency below the worm length: %+v", b)
-		}
-	}
-}
-
-func TestLatencyHistogramBinning(t *testing.T) {
-	f, _, horizon := run(t, 0.02, false)
-	buckets, err := LatencyHistogram(f, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recompute one bucket by hand.
-	var want int64
-	for i := range f.Packets {
-		pk := &f.Packets[i]
-		if pk.Delivered() && pk.TailAt < horizon {
-			if l := pk.NetworkLatency(); l >= 16 && l < 32 {
-				want++
-			}
-		}
-	}
-	var got int64
-	for _, b := range buckets {
-		if b.Lo == 16 {
-			got = b.Count
-		}
-	}
-	if got != want {
-		t.Fatalf("bucket [16,32) holds %d, want %d", got, want)
-	}
-}
-
-func TestSourceFairnessUniform(t *testing.T) {
-	f, _, horizon := run(t, 0.05, false)
-	fair, err := SourceFairness(f, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fair.Sources != 16 {
-		t.Fatalf("%d active sources, want 16", fair.Sources)
-	}
-	if fair.JainIndex < 0.9 || fair.JainIndex > 1.0 {
-		t.Fatalf("uniform traffic Jain index %v, want near 1", fair.JainIndex)
-	}
-	if fair.MinShare > 1 || fair.MaxShare < 1 {
-		t.Fatalf("shares (%v, %v) must straddle the mean", fair.MinShare, fair.MaxShare)
-	}
-}
-
-func TestSourceFairnessSkewed(t *testing.T) {
-	// Hand-build a fabric where one node delivers far more than another:
-	// fairness must drop below the uniform case.
-	cube, _ := topology.NewCube(4, 2)
-	alg := routing.NewDuato(cube)
-	f, err := wormhole.NewFabric(cube, wormhole.Config{VCs: 4, BufDepth: 4, PacketFlits: 4, InjLanes: 1}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.NewEngine()
-	f.Register(e)
-	for i := 0; i < 9; i++ {
-		f.EnqueuePacket(0, 5, 0)
-	}
-	f.EnqueuePacket(1, 6, 0)
-	e.Run(3000)
-	fair, err := SourceFairness(f, 0, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fair.Sources != 2 {
-		t.Fatalf("%d sources, want 2", fair.Sources)
-	}
-	// Counts 9 and 1: Jain = (10)^2 / (2 * 82) = 0.6097...
-	if math.Abs(fair.JainIndex-100.0/164.0) > 1e-9 {
-		t.Fatalf("Jain index %v, want %v", fair.JainIndex, 100.0/164.0)
-	}
-	if fair.MinShare != 0.2 || fair.MaxShare != 1.8 {
-		t.Fatalf("shares (%v, %v), want (0.2, 1.8)", fair.MinShare, fair.MaxShare)
-	}
+	return f, cube, e
 }
 
 func TestLatencyByDistanceMonotoneUnderSAF(t *testing.T) {
@@ -189,46 +89,9 @@ func TestLatencyByDistanceShallowUnderWormhole(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	f, _, horizon := run(t, 0.03, false)
-	ps, err := Percentiles(f, 0, horizon, 50, 95, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(ps[0] <= ps[1] && ps[1] <= ps[2]) {
-		t.Fatalf("percentiles not monotone: %v", ps)
-	}
-	var max int64
-	for i := range f.Packets {
-		if f.Packets[i].Delivered() {
-			if l := f.Packets[i].NetworkLatency(); l > max {
-				max = l
-			}
-		}
-	}
-	if ps[2] != float64(max) {
-		t.Fatalf("p100 %v, want max %d", ps[2], max)
-	}
-	if _, err := Percentiles(f, 0, horizon, 0); err == nil {
-		t.Error("percentile 0 accepted")
-	}
-	if _, err := Percentiles(f, 0, horizon, 101); err == nil {
-		t.Error("percentile 101 accepted")
-	}
-}
-
 func TestEmptyWindowErrors(t *testing.T) {
 	f, cube, _ := run(t, 0.02, false)
-	if _, err := LatencyHistogram(f, 100, 100); err == nil {
-		t.Error("empty histogram window accepted")
-	}
-	if _, err := SourceFairness(f, 100, 100); err == nil {
-		t.Error("empty fairness window accepted")
-	}
 	if _, err := LatencyByDistance(f, cube, 100, 100); err == nil {
 		t.Error("empty distance window accepted")
-	}
-	if _, err := Percentiles(f, 100, 100, 50); err == nil {
-		t.Error("empty percentile window accepted")
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"smart/internal/telemetry"
 )
@@ -123,4 +124,30 @@ func Summarize(rec telemetry.Record) (SeriesSummary, error) {
 		s.MeanDelivery = sum / float64(len(rates))
 	}
 	return s, nil
+}
+
+// SteadyStateBy returns the first interval end from which the delivery
+// rate stays within tolerance (relative) of the final interval's rate —
+// an empirical check of a warm-up choice. A series still oscillating
+// beyond the tolerance settles only at its last interval. It returns
+// false for fewer than two intervals or a zero final rate. Above
+// saturation queues grow without bound but the delivery rate still
+// levels off.
+func SteadyStateBy(rates []RatePoint, tolerance float64) (int64, bool) {
+	if len(rates) < 2 {
+		return 0, false
+	}
+	final := rates[len(rates)-1].DeliveryRate
+	if final <= 0 {
+		return 0, false
+	}
+	// Walk back from the end to the last interval outside the band.
+	settled := rates[len(rates)-1].Cycle
+	for i := len(rates) - 2; i >= 0; i-- {
+		if math.Abs(rates[i].DeliveryRate-final)/final > tolerance {
+			break
+		}
+		settled = rates[i].Cycle
+	}
+	return settled, true
 }

@@ -1,7 +1,8 @@
 // Package obs is the observability spine of the reproduction: structured
 // run logging on log/slog, a per-stage engine profiler, a live progress
-// reporter for sweeps and batches, JSONL run manifests, and the shared
-// -cpuprofile/-memprofile/-trace flag wiring of the commands.
+// reporter for sweeps and batches, JSONL run manifests, the shared
+// -cpuprofile/-memprofile/-trace flag wiring of the commands, and the
+// one Prometheus text writer and HTTP listener behind every /metrics.
 //
 // It complements the two existing views of a simulation — the microscope
 // of internal/trace (per-packet timelines) and the macroscope of

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -293,20 +292,6 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// Serve listens on addr and serves the Handler until the listener is
-// closed, returning the bound listener so callers can report the
-// ephemeral port of ":0" and close on shutdown.
-func (s *Service) Serve(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: listening on %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	//smartlint:allow concurrency — the HTTP loop must accept while request handlers execute runs
-	go srv.Serve(ln)
-	return ln, nil
-}
-
 func (s *Service) bump(c *int64) {
 	s.mu.Lock()
 	*c++
@@ -333,14 +318,31 @@ func decodeStrict(r io.Reader, v any) error {
 	if dec.More() {
 		return errors.New("trailing data after the JSON body")
 	}
-	return nil
+	// Read to the end, so a body padded past maxBodyBytes after its JSON
+	// value is refused like any other oversized body.
+	_, err := io.Copy(io.Discard, r)
+	return err
+}
+
+// maxBodyBytes bounds a POSTed request body. The largest legitimate
+// body, a sweep spec over many loads, is a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decodeStatus maps a request-body decoding error to its HTTP status:
+// 413 for a body over maxBodyBytes, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.bump(&s.requests)
-	cfg, err := decodeConfig(r.Body)
+	cfg, err := decodeConfig(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, decodeStatus(err), err)
 		return
 	}
 	rec, digest, status, err := s.result(cfg)
@@ -360,8 +362,8 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.bump(&s.requests)
 	var spec SweepSpec
-	if err := decodeStrict(r.Body, &spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep spec: %w", err))
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), &spec); err != nil {
+		s.writeError(w, decodeStatus(err), fmt.Errorf("decoding sweep spec: %w", err))
 		return
 	}
 	if len(spec.Loads) == 0 {
@@ -449,27 +451,19 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	stats := s.store.Stats()
 
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("smart_serve_requests_total", "HTTP requests handled.", requests)
-	counter("smart_serve_cache_hits_total", "Requests answered from the store.", hits)
-	counter("smart_serve_cache_misses_total", "Requests that executed a run.", misses)
-	counter("smart_serve_cache_coalesced_total", "Requests that joined another request's execution.", coalesced)
-	counter("smart_serve_busy_total", "Requests refused because the worker pool was saturated.", busy)
-	counter("smart_serve_errors_total", "Requests that ended in an error response.", failures)
-	gauge("smart_serve_inflight", "Executions running or queued right now.", int64(pending))
-	gauge("smart_store_records", "Distinct fingerprints in the store.", int64(stats.Records))
-	gauge("smart_store_segments", "Store segment files.", int64(stats.Segments))
-	gauge("smart_store_bytes", "Bytes across store segments.", stats.Bytes)
-	gauge("smart_store_superseded_records", "On-disk entries shadowed by a later write (reclaimable by compaction).", stats.Superseded)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, b.String())
+	var x obs.Exposition
+	x.Family("smart_serve_requests_total", obs.Counter, "HTTP requests handled.").Int(requests)
+	x.Family("smart_serve_cache_hits_total", obs.Counter, "Requests answered from the store.").Int(hits)
+	x.Family("smart_serve_cache_misses_total", obs.Counter, "Requests that executed a run.").Int(misses)
+	x.Family("smart_serve_cache_coalesced_total", obs.Counter, "Requests that joined another request's execution.").Int(coalesced)
+	x.Family("smart_serve_busy_total", obs.Counter, "Requests refused because the worker pool was saturated.").Int(busy)
+	x.Family("smart_serve_errors_total", obs.Counter, "Requests that ended in an error response.").Int(failures)
+	x.Family("smart_serve_inflight", obs.Gauge, "Executions running or queued right now.").Int(int64(pending))
+	x.Family("smart_store_records", obs.Gauge, "Distinct fingerprints in the store.").Int(int64(stats.Records))
+	x.Family("smart_store_segments", obs.Gauge, "Store segment files.").Int(int64(stats.Segments))
+	x.Family("smart_store_bytes", obs.Gauge, "Bytes across store segments.").Int(stats.Bytes)
+	x.Family("smart_store_superseded_records", obs.Gauge, "On-disk entries shadowed by a later write (reclaimable by compaction).").Int(stats.Superseded)
+	x.Serve(w)
 }
 
 // writeJSON answers with body and a strong ETag over digest, honoring

@@ -447,7 +447,7 @@ func (s *Store) readLocked(fp string) ([]byte, error) {
 
 // VerifyAll re-reads and digest-verifies every live entry, returning
 // the first failure. The crash-safety suite calls it after simulated
-// kills; operators can run it via `serve -verify`.
+// kills; no command exposes it, and Get verifies each entry it serves.
 func (s *Store) VerifyAll() error {
 	for _, fp := range s.Fingerprints() {
 		if _, _, _, err := s.Get(fp); err != nil {

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"net"
+
+	"smart/internal/obs"
 )
 
 // Flags carries the telemetry command-line options shared by the
@@ -53,9 +55,9 @@ func (f *Flags) Open(resume bool) (opts *Options, addr string, stop func() error
 	var ln net.Listener
 	if f.MetricsAddr != "" {
 		opts.Server = NewServer()
-		ln, err = opts.Server.Serve(f.MetricsAddr)
+		_, ln, err = obs.Listen(f.MetricsAddr, opts.Server.Handler())
 		if err != nil {
-			return nil, "", nil, err
+			return nil, "", nil, fmt.Errorf("telemetry: listening on %s: %w", f.MetricsAddr, err)
 		}
 		addr = ln.Addr().String()
 	}

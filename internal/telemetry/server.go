@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
-	"strings"
+	"strconv"
 	"sync"
 
 	"smart/internal/obs"
@@ -82,21 +80,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Serve listens on addr and serves until the listener is closed. It
-// returns the bound listener (so callers can report the ephemeral port
-// of ":0" and close on shutdown) and runs the HTTP loop on its own
-// goroutine.
-func (s *Server) Serve(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: listening on %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	//smartlint:allow concurrency — the metrics listener must serve while the simulation loop runs
-	go srv.Serve(ln)
-	return ln, nil
-}
-
 // snapshotState collects a consistent view for rendering.
 type serverState struct {
 	samplers []*Sampler
@@ -121,165 +104,105 @@ func (s *Server) state() serverState {
 	return st
 }
 
-// escapeLabel escapes a Prometheus label value (backslash, quote,
-// newline).
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
+// runMetric is one per-run /metrics family and how to read its value
+// from a run's latest point.
+type runMetric struct {
+	name, kind, help string
+	// faultsOnly families render only for faulted runs, so fault-free
+	// runs expose exactly the families they did before fault injection.
+	faultsOnly bool
+	value      func(last Point, events int) int64
 }
 
-// runLabels renders the shared label set of one run's metrics.
-func runLabels(run RunInfo) string {
-	return fmt.Sprintf(`{batch=%q,index="%d",label=%q,pattern=%q,load="%g"}`,
-		escapeLabel(run.Batch), run.Index, escapeLabel(run.Label), escapeLabel(run.Pattern), run.Load)
+// runMetrics lists the per-run families in exposition order.
+var runMetrics = []runMetric{
+	{"smart_run_flits_injected_total", obs.Counter, "Flits injected since fabric construction.", false,
+		func(p Point, _ int) int64 { return p.FlitsInjected }},
+	{"smart_run_flits_delivered_total", obs.Counter, "Flits delivered since fabric construction.", false,
+		func(p Point, _ int) int64 { return p.FlitsDelivered }},
+	{"smart_run_headers_routed_total", obs.Counter, "Routing decisions won.", false,
+		func(p Point, _ int) int64 { return p.HeadersRouted }},
+	{"smart_run_credit_stalls_total", obs.Counter, "Send attempts lost to exhausted credits.", false,
+		func(p Point, _ int) int64 { return p.CreditStalls }},
+	{"smart_run_fault_stalls_total", obs.Counter, "Transfer opportunities suppressed by fault masks.", true,
+		func(p Point, _ int) int64 { return p.FaultStalls }},
+	{"smart_run_rerouted_total", obs.Counter, "Routing decisions diverted around fault masks.", true,
+		func(p Point, _ int) int64 { return p.Rerouted }},
+	{"smart_run_cycle", obs.Gauge, "Cycle of the latest sample.", false,
+		func(p Point, _ int) int64 { return p.Cycle }},
+	{"smart_run_in_flight", obs.Gauge, "Flits inside the network.", false,
+		func(p Point, _ int) int64 { return p.InFlight }},
+	{"smart_run_queued", obs.Gauge, "Packets waiting at sources.", false,
+		func(p Point, _ int) int64 { return p.Queued }},
+	{"smart_run_occupied_lanes", obs.Gauge, "Lanes holding at least one flit.", false,
+		func(p Point, _ int) int64 { return int64(p.OccupiedLanes) }},
+	{"smart_run_buffered_flits", obs.Gauge, "Flits buffered in lanes.", false,
+		func(p Point, _ int) int64 { return int64(p.BufferedFlits) }},
+	{"smart_run_max_nic_queue", obs.Gauge, "Deepest source queue.", false,
+		func(p Point, _ int) int64 { return p.MaxNICQueue }},
+	{"smart_run_events", obs.Gauge, "Congestion events recorded.", false,
+		func(_ Point, events int) int64 { return int64(events) }},
+	{"smart_run_down_links", obs.Gauge, "Physical links currently fault-masked.", true,
+		func(p Point, _ int) int64 { return int64(p.DownLinks) }},
+	{"smart_run_down_routers", obs.Gauge, "Routers currently fault-masked.", true,
+		func(p Point, _ int) int64 { return int64(p.DownRouters) }},
 }
 
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
-	var b strings.Builder
-
-	b.WriteString("# HELP smart_runs_completed_total Runs finished by this process.\n")
-	b.WriteString("# TYPE smart_runs_completed_total counter\n")
-	fmt.Fprintf(&b, "smart_runs_completed_total %d\n", st.done)
-	b.WriteString("# HELP smart_runs_failed_total Runs that finished with a failure.\n")
-	b.WriteString("# TYPE smart_runs_failed_total counter\n")
-	fmt.Fprintf(&b, "smart_runs_failed_total %d\n", st.failed)
-	b.WriteString("# HELP smart_runs_active Runs currently recording telemetry.\n")
-	b.WriteString("# TYPE smart_runs_active gauge\n")
-	fmt.Fprintf(&b, "smart_runs_active %d\n", len(st.samplers))
-
+	var x obs.Exposition
+	x.Family("smart_runs_completed_total", obs.Counter, "Runs finished by this process.").Int(st.done)
+	x.Family("smart_runs_failed_total", obs.Counter, "Runs that finished with a failure.").Int(st.failed)
+	x.Family("smart_runs_active", obs.Gauge, "Runs currently recording telemetry.").Int(int64(len(st.samplers)))
 	if st.hasProg {
-		b.WriteString("# HELP smart_grid_completed Grid points completed.\n")
-		b.WriteString("# TYPE smart_grid_completed gauge\n")
-		fmt.Fprintf(&b, "smart_grid_completed %d\n", st.progress.Completed)
-		b.WriteString("# HELP smart_grid_total Grid points in the sweep.\n")
-		b.WriteString("# TYPE smart_grid_total gauge\n")
-		fmt.Fprintf(&b, "smart_grid_total %d\n", st.progress.Total)
-		b.WriteString("# HELP smart_grid_cycles_total Simulated cycles across completed runs.\n")
-		b.WriteString("# TYPE smart_grid_cycles_total counter\n")
-		fmt.Fprintf(&b, "smart_grid_cycles_total %d\n", st.progress.Cycles)
-		b.WriteString("# HELP smart_grid_cycles_per_second Aggregate simulation rate.\n")
-		b.WriteString("# TYPE smart_grid_cycles_per_second gauge\n")
-		fmt.Fprintf(&b, "smart_grid_cycles_per_second %g\n", st.progress.CyclesPerSec)
+		x.Family("smart_grid_completed", obs.Gauge, "Grid points completed.").Int(st.progress.Completed)
+		x.Family("smart_grid_total", obs.Gauge, "Grid points in the sweep.").Int(st.progress.Total)
+		x.Family("smart_grid_cycles_total", obs.Counter, "Simulated cycles across completed runs.").Int(st.progress.Cycles)
+		x.Family("smart_grid_cycles_per_second", obs.Gauge, "Aggregate simulation rate.").Float(st.progress.CyclesPerSec)
 	}
 
-	type metric struct{ name, help, kind string }
-	cum := []metric{
-		{"smart_run_flits_injected_total", "Flits injected since fabric construction.", "counter"},
-		{"smart_run_flits_delivered_total", "Flits delivered since fabric construction.", "counter"},
-		{"smart_run_headers_routed_total", "Routing decisions won.", "counter"},
-		{"smart_run_credit_stalls_total", "Send attempts lost to exhausted credits.", "counter"},
-		{"smart_run_fault_stalls_total", "Transfer opportunities suppressed by fault masks.", "counter"},
-		{"smart_run_rerouted_total", "Routing decisions diverted around fault masks.", "counter"},
-	}
-	gauges := []metric{
-		{"smart_run_cycle", "Cycle of the latest sample.", "gauge"},
-		{"smart_run_in_flight", "Flits inside the network.", "gauge"},
-		{"smart_run_queued", "Packets waiting at sources.", "gauge"},
-		{"smart_run_occupied_lanes", "Lanes holding at least one flit.", "gauge"},
-		{"smart_run_buffered_flits", "Flits buffered in lanes.", "gauge"},
-		{"smart_run_max_nic_queue", "Deepest source queue.", "gauge"},
-		{"smart_run_events", "Congestion events recorded.", "gauge"},
-		{"smart_run_down_links", "Physical links currently fault-masked.", "gauge"},
-		{"smart_run_down_routers", "Routers currently fault-masked.", "gauge"},
-	}
-	// Gather each sampler's latest point once, in attach order.
+	// Gather each sampled run's latest point once, in attach order.
 	type runView struct {
-		run     RunInfo
+		labels  []string
 		last    Point
 		names   []string
 		events  int
-		ok      bool
 		faulted bool
 	}
 	views := make([]runView, 0, len(st.samplers))
 	for _, sp := range st.samplers {
 		points, events := sp.Snapshot()
-		v := runView{run: sp.Run(), names: sp.ClassNames(), events: len(events), faulted: sp.HasFaults()}
-		if len(points) > 0 {
-			v.last = points[len(points)-1]
-			v.ok = true
-		}
-		views = append(views, v)
-	}
-	value := func(m string, v runView) (int64, bool) {
-		switch m {
-		case "smart_run_flits_injected_total":
-			return v.last.FlitsInjected, true
-		case "smart_run_flits_delivered_total":
-			return v.last.FlitsDelivered, true
-		case "smart_run_headers_routed_total":
-			return v.last.HeadersRouted, true
-		case "smart_run_credit_stalls_total":
-			return v.last.CreditStalls, true
-		case "smart_run_cycle":
-			return v.last.Cycle, true
-		case "smart_run_in_flight":
-			return v.last.InFlight, true
-		case "smart_run_queued":
-			return v.last.Queued, true
-		case "smart_run_occupied_lanes":
-			return int64(v.last.OccupiedLanes), true
-		case "smart_run_buffered_flits":
-			return int64(v.last.BufferedFlits), true
-		case "smart_run_max_nic_queue":
-			return v.last.MaxNICQueue, true
-		case "smart_run_events":
-			return int64(v.events), true
-		case "smart_run_fault_stalls_total":
-			return v.last.FaultStalls, v.faulted
-		case "smart_run_rerouted_total":
-			return v.last.Rerouted, v.faulted
-		case "smart_run_down_links":
-			return int64(v.last.DownLinks), v.faulted
-		case "smart_run_down_routers":
-			return int64(v.last.DownRouters), v.faulted
-		}
-		return 0, false
-	}
-	for _, m := range append(cum, gauges...) {
-		wrote := false
-		for _, v := range views {
-			if !v.ok {
-				continue
-			}
-			val, ok := value(m.name, v)
-			if !ok {
-				continue
-			}
-			if !wrote {
-				fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind)
-				wrote = true
-			}
-			fmt.Fprintf(&b, "%s%s %d\n", m.name, runLabels(v.run), val)
-		}
-	}
-	// Per-class interval flits, labeled by class name.
-	wrote := false
-	for _, v := range views {
-		if !v.ok || len(v.names) == 0 {
+		if len(points) == 0 {
 			continue
 		}
-		if !wrote {
-			b.WriteString("# HELP smart_run_class_flits Flits moved per channel class in the last sample interval.\n")
-			b.WriteString("# TYPE smart_run_class_flits gauge\n")
-			wrote = true
+		run := sp.Run()
+		views = append(views, runView{
+			labels: []string{"batch", run.Batch, "index", strconv.Itoa(run.Index), "label", run.Label,
+				"pattern", run.Pattern, "load", strconv.FormatFloat(run.Load, 'g', -1, 64)},
+			last:    points[len(points)-1],
+			names:   sp.ClassNames(),
+			events:  len(events),
+			faulted: sp.HasFaults(),
+		})
+	}
+	for _, m := range runMetrics {
+		x.Family(m.name, m.kind, m.help)
+		for _, v := range views {
+			if !m.faultsOnly || v.faulted {
+				x.Int(m.value(v.last, v.events), v.labels...)
+			}
 		}
-		labels := runLabels(v.run)
+	}
+	x.Family("smart_run_class_flits", obs.Gauge, "Flits moved per channel class in the last sample interval.")
+	for _, v := range views {
 		for i, n := range v.names {
 			if i >= len(v.last.ClassFlits) {
 				break
 			}
-			// Splice the class label into the shared label set.
-			withClass := strings.TrimSuffix(labels, "}") + fmt.Sprintf(",class=%q}", escapeLabel(n))
-			fmt.Fprintf(&b, "smart_run_class_flits%s %d\n", withClass, v.last.ClassFlits[i])
+			x.Int(v.last.ClassFlits[i], append(v.labels[:len(v.labels):len(v.labels)], "class", n)...)
 		}
 	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String()))
+	x.Serve(w)
 }
 
 // jsonState is the /telemetry.json response body.

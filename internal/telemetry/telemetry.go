@@ -208,8 +208,8 @@ func (s *Sampler) ClassLinks() []int64 {
 
 // tick runs once per cycle as an engine stage and samples every
 // cfg.Every cycles. The engine passes the pre-increment cycle index, so
-// the (cycle+1)%every == 0 gate matches the metrics.TimeSeries
-// convention: at cadence 100 the first sample is labeled cycle 100.
+// the (cycle+1)%every == 0 gate labels each sample with the number of
+// cycles completed: at cadence 100 the first sample is labeled cycle 100.
 //
 //smartlint:hotpath
 func (s *Sampler) tick(cycle int64) {

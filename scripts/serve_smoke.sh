@@ -4,7 +4,8 @@
 # 1. Starts cmd/serve over an empty store: a POSTed config is a cold
 #    miss that executes, and the same POST again is a warm hit whose
 #    body is byte-identical; If-None-Match with the returned ETag gets
-#    304 Not Modified.
+#    304 Not Modified. /metrics counts the miss and the hit, and a body
+#    over 1 MiB is refused with 413.
 # 2. POSTs a sweep grid and requires the response digest to equal the
 #    manifest digest of a direct cmd/sweep over the same grid — the
 #    served cache and the command line are the same experiment.
@@ -50,6 +51,20 @@ cmp "$work/b1" "$work/b2" || { echo "hit body differs from miss body"; exit 1; }
 etag=$(sed -n 's/^[Ee][Tt]ag: \(.*\)/\1/p' "$work/h1" | tr -d '\r' | head -1)
 [ -n "$etag" ] || { echo "no ETag on the run response"; cat "$work/h1"; exit 1; }
 echo "cache hit is byte-identical (etag $etag)"
+
+echo "== /metrics counts the miss and the hit =="
+curl -fsS "http://$addr/metrics" >"$work/metrics1"
+for want in 'smart_serve_cache_misses_total 1' 'smart_serve_cache_hits_total 1' \
+    '# TYPE smart_serve_requests_total counter'; do
+    grep -qxF "$want" "$work/metrics1" || { echo "/metrics lacks the line: $want"; cat "$work/metrics1"; exit 1; }
+done
+echo "metrics ok"
+
+echo "== a body over 1 MiB is refused with 413 =="
+{ printf '%s' "$config"; head -c 1100000 /dev/zero | tr '\0' ' '; } >"$work/oversized.json"
+code=$(curl -s -o /dev/null -w '%{http_code}' --data-binary @"$work/oversized.json" "http://$addr/v1/run" || true)
+[ "$code" = "413" ] || { echo "oversized body returned $code, want 413"; exit 1; }
+echo "oversized body 413 ok"
 
 echo "== ETag revalidation returns 304 =="
 code=$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $etag" -d "$config" "http://$addr/v1/run")
