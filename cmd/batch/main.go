@@ -24,7 +24,7 @@
 // written back.
 //
 // Telemetry (internal/telemetry): -metrics-addr serves live fabric
-// state over HTTP while the study runs; -timeseries journals each
+// state over HTTP while the study runs; -timeseries writes each
 // config's sampled time series and congestion events to a JSONL
 // sidecar; -sample-every sets the cadence.
 package main
@@ -40,6 +40,7 @@ import (
 	"smart/internal/core"
 	"smart/internal/faults"
 	"smart/internal/results"
+	"smart/internal/traffic"
 )
 
 func main() {
@@ -84,6 +85,9 @@ func main() {
 		os.Exit(1)
 	}
 	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
+	if err == nil {
+		err = traffic.CheckBurst(*burstFlag)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "batch:", err)
 		os.Exit(1)

@@ -36,6 +36,7 @@ import (
 	"smart/internal/faults"
 	"smart/internal/obs"
 	"smart/internal/results"
+	"smart/internal/traffic"
 )
 
 // sess is the open grid session; fatal closes it, so a failed grid
@@ -77,14 +78,16 @@ func main() {
 		loads = append(loads, l)
 	}
 	configs := core.PaperConfigs()
-	var err error
-	if sess, err = flags.Open("experiments", len(patterns)*len(configs)*len(loads), 5*time.Second); err != nil {
+	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
+	if err == nil {
+		err = traffic.CheckBurst(*burst)
+	}
+	if err == nil {
+		sess, err = flags.Open("experiments", len(patterns)*len(configs)*len(loads), 5*time.Second)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
-	}
-	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
-	if err != nil {
-		fatal(err)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

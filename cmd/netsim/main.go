@@ -68,7 +68,7 @@ func main() {
 		profiler = obs.NewStageProfiler()
 		opts.Profiler = profiler
 	}
-	tel, telAddr, telStop, err := telFlags.Open(false)
+	tel, telAddr, telStop, err := telFlags.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netsim:", err)
 		os.Exit(1)

@@ -37,7 +37,7 @@
 //
 // Telemetry (internal/telemetry): -metrics-addr serves live fabric
 // state over HTTP while the sweep runs (/metrics in Prometheus text,
-// /telemetry.json as JSON); -timeseries journals each run's sampled
+// /telemetry.json as JSON); -timeseries writes each run's sampled
 // time series and congestion events to a JSONL sidecar next to the
 // manifest; -sample-every sets the cadence.
 //
@@ -56,6 +56,7 @@ import (
 	"smart/internal/faults"
 	"smart/internal/plot"
 	"smart/internal/results"
+	"smart/internal/traffic"
 )
 
 func main() {
@@ -87,7 +88,10 @@ func main() {
 	cfg.Algorithm = alg
 	cfg.WatchdogCycles = flags.Watchdog
 	var err error
-	if cfg.Faults, err = faults.ResolveFlag(*faultsFlag); err != nil {
+	if cfg.Faults, err = faults.ResolveFlag(*faultsFlag); err == nil {
+		err = traffic.CheckBurst(cfg.Burst)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}

@@ -81,18 +81,25 @@ func selectRecords(recs []telemetry.Record, idx int) []telemetry.Record {
 }
 
 // checkRecords enforces the sidecar invariants a correct writer
-// guarantees: unique fingerprints, strictly increasing sample cycles,
-// class slices sized consistently.
+// guarantees: each run (fingerprint at its batch position) recorded
+// once, strictly increasing sample cycles, class slices sized
+// consistently. A grid that repeats a config records it once per
+// position.
 func checkRecords(recs []telemetry.Record) error {
-	seen := map[string]bool{}
+	type run struct {
+		batch, fingerprint string
+		index              int
+	}
+	seen := map[run]bool{}
 	for i, rec := range recs {
 		if rec.Fingerprint == "" {
 			return fmt.Errorf("record %d has no fingerprint", i)
 		}
-		if seen[rec.Fingerprint] {
-			return fmt.Errorf("record %d duplicates fingerprint %s", i, rec.Fingerprint)
+		key := run{rec.Batch, rec.Fingerprint, rec.Index}
+		if seen[key] {
+			return fmt.Errorf("record %d duplicates run %s at %q index %d", i, rec.Fingerprint, rec.Batch, rec.Index)
 		}
-		seen[rec.Fingerprint] = true
+		seen[key] = true
 		if rec.Every <= 0 {
 			return fmt.Errorf("record %d has non-positive cadence %d", i, rec.Every)
 		}

@@ -142,7 +142,7 @@ func (s *Session) open(f *Flags, runs int, every time.Duration) error {
 		s.Options.Progress = obs.NewProgress(s.stderr, runs, every)
 		s.Options.Progress.Start()
 	}
-	tel, addr, stopTel, err := f.Telemetry.Open(f.Resume)
+	tel, addr, stopTel, err := f.Telemetry.Open()
 	if err != nil {
 		return err
 	}

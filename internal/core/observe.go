@@ -53,8 +53,9 @@ type Options struct {
 	SelfCheck bool
 	// Telemetry, when set, attaches a flight-recorder sampler to every
 	// run: live state on the HTTP endpoint, one time-series record per
-	// run in the JSONL sidecar. Sampling is observation-only — it cannot
-	// change simulated behavior (the golden fixtures pin this).
+	// run in the JSONL sidecar, stored with the run's record when a
+	// Store is set. Sampling is observation-only — it cannot change
+	// simulated behavior (the golden fixtures pin this).
 	Telemetry *telemetry.Options
 	// Shards partitions each run's fabric for parallel cycle execution:
 	// 1 (and any negative value) is the sequential engine, 0 picks an
@@ -73,21 +74,20 @@ func (o Options) observed() bool {
 
 // RunWith executes one experiment with the paper's methodology under the
 // given observers. With zero Options it is exactly Run. A config whose
-// fingerprint the store holds is not re-run: the cached record — stored
-// position-free, since the store is addressed by config content — is
-// re-stamped with this run's Batch and Index and replayed into the
-// manifest, so a read-through or resumed grid's manifest digests
-// identically to an uncached one.
+// fingerprint the store holds is not re-run: the cached record and
+// series — stored position-free, since the store is addressed by config
+// content — are re-stamped with this run's Batch and Index and replayed
+// into the manifest and sidecar, so a read-through or resumed grid's
+// outputs digest identically to an uncached one's.
 func RunWith(cfg Config, opts Options) (Result, error) {
 	if opts.Store != nil {
 		full := cfg.WithDefaults()
-		rec, _, ok, err := opts.Store.Get(full.Fingerprint())
+		e, ok, err := opts.Store.Lookup(full.Fingerprint())
 		if err != nil {
 			return Result{}, fmt.Errorf("core: store read for %s: %w", full.Fingerprint(), err)
 		}
 		if ok {
-			rec.Batch, rec.Index = opts.Batch, opts.Index
-			return replayRun(full, rec, opts)
+			return replayRun(full, e, opts)
 		}
 	}
 	s, err := NewSimulationShards(cfg, opts.Shards)
@@ -102,9 +102,14 @@ func RunWith(cfg Config, opts Options) (Result, error) {
 }
 
 // replayRun reconstructs a cached run's Result and re-emits its
-// manifest record, so a resumed grid's manifest is indistinguishable
-// (modulo wall time and completion order) from an uninterrupted one.
-func replayRun(cfg Config, rec obs.RunRecord, opts Options) (Result, error) {
+// manifest record and, when a sidecar is open and the entry has one,
+// its series, so a resumed grid's outputs are indistinguishable (modulo
+// wall time and completion order) from an uninterrupted one's. A series
+// replays at the cadence it was recorded at, which its Every field
+// records.
+func replayRun(cfg Config, e store.Entry, opts Options) (Result, error) {
+	rec := e.Record
+	rec.Batch, rec.Index = opts.Batch, opts.Index
 	res, err := ResultFromRecord(rec)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: replaying cached run %s: %w", rec.Fingerprint, err)
@@ -115,12 +120,15 @@ func replayRun(cfg Config, rec obs.RunRecord, opts Options) (Result, error) {
 	if opts.Progress != nil {
 		opts.Progress.RunDone(cfg.Load, rec.Cycles)
 	}
-	if opts.Manifest != nil {
-		if err := opts.Manifest.Write(rec); err != nil {
-			return res, fmt.Errorf("core: run manifest: %w", err)
+	var series *telemetry.Record
+	if len(e.Series) > 0 && opts.Telemetry != nil && opts.Telemetry.Sidecar != nil {
+		series = new(telemetry.Record)
+		if err := json.Unmarshal(e.Series, series); err != nil {
+			return res, fmt.Errorf("core: replaying series of %s: %w", rec.Fingerprint, err)
 		}
+		series.Batch, series.Index = opts.Batch, opts.Index
 	}
-	return res, nil
+	return res, emit(rec, series, opts)
 }
 
 // RunWith executes the assembled experiment under the given observers.
@@ -160,14 +168,20 @@ func (s *Simulation) RunWith(opts Options) (Result, error) {
 	res, err := run()
 	wall := elapsed()
 	cycles := s.Engine.Cycle()
+	var series *telemetry.Record
 	if sampler != nil {
-		if serr := finishTelemetry(sampler, opts.Telemetry, err); serr != nil && err == nil {
-			return res, fmt.Errorf("core: telemetry sidecar: %w", serr)
-		}
+		series = finishTelemetry(sampler, opts.Telemetry, err)
 	}
 	if err != nil {
 		if logger != nil {
 			logger.Error("run failed", "err", err, "wall_ms", wallMS(wall))
+		}
+		if series != nil {
+			// A failed run's recording is the interesting one, so it
+			// reaches the sidecar, but never the store. The run's own
+			// error is what the caller reports, so a write error is
+			// dropped in its favor.
+			_ = opts.Telemetry.Sidecar.Write(*series)
 		}
 		return res, err
 	}
@@ -182,28 +196,50 @@ func (s *Simulation) RunWith(opts Options) (Result, error) {
 	if opts.Progress != nil {
 		opts.Progress.RunDone(cfg.Load, cycles)
 	}
-	if opts.Manifest != nil || opts.Store != nil {
-		rec, rerr := runRecord(res, cycles, wall, s.Shards, opts)
-		// Store before the manifest: a kill between the two writes must
-		// not leave a manifest record the store forgot.
-		if rerr == nil && opts.Store != nil {
-			_, rerr = opts.Store.Put(rec)
+	rec, err := runRecord(res, cycles, wall, s.Shards, opts)
+	if err != nil {
+		return res, fmt.Errorf("core: run manifest: %w", err)
+	}
+	// Store first, in one line with the series: a kill before the
+	// manifest or sidecar line leaves a run the store replays, never a
+	// line the store forgot.
+	if opts.Store != nil {
+		var raw []byte
+		if series != nil {
+			canon := *series
+			canon.Batch, canon.Index = "", 0
+			if raw, err = json.Marshal(canon); err != nil {
+				return res, fmt.Errorf("core: encoding series: %w", err)
+			}
 		}
-		if rerr == nil && opts.Manifest != nil {
-			rerr = opts.Manifest.Write(rec)
-		}
-		if rerr != nil {
-			return res, fmt.Errorf("core: run manifest: %w", rerr)
+		if _, err := opts.Store.PutSeries(rec, raw); err != nil {
+			return res, fmt.Errorf("core: run manifest: %w", err)
 		}
 	}
-	return res, nil
+	return res, emit(rec, series, opts)
+}
+
+// emit writes a completed run's manifest record and then, when there is
+// one, its series to the sidecar.
+func emit(rec obs.RunRecord, series *telemetry.Record, opts Options) error {
+	if opts.Manifest != nil {
+		if err := opts.Manifest.Write(rec); err != nil {
+			return fmt.Errorf("core: run manifest: %w", err)
+		}
+	}
+	if series != nil {
+		if err := opts.Telemetry.Sidecar.Write(*series); err != nil {
+			return fmt.Errorf("core: telemetry sidecar: %w", err)
+		}
+	}
+	return nil
 }
 
 // finishTelemetry settles a run's flight recorder: the terminal stall
-// event if the watchdog fired, a forced final sample, detachment from
-// the live endpoint, and the sidecar record. Failed runs journal too —
-// their recordings are the interesting ones.
-func finishTelemetry(sp *telemetry.Sampler, t *telemetry.Options, runErr error) error {
+// event if the watchdog fired, a forced final sample, and detachment
+// from the live endpoint. It returns the run's sidecar record, or nil
+// when no sidecar is open.
+func finishTelemetry(sp *telemetry.Sampler, t *telemetry.Options, runErr error) *telemetry.Record {
 	failure := ""
 	if runErr != nil {
 		failure = failureText(runErr)
@@ -214,10 +250,11 @@ func finishTelemetry(sp *telemetry.Sampler, t *telemetry.Options, runErr error) 
 	}
 	sp.Finish(failure)
 	t.Server.Detach(sp, runErr != nil)
-	if t.Sidecar != nil {
-		return t.Sidecar.Write(telemetry.RecordOf(sp))
+	if t.Sidecar == nil {
+		return nil
 	}
-	return nil
+	rec := telemetry.RecordOf(sp)
+	return &rec
 }
 
 // runRecord assembles the manifest line for one completed run. The

@@ -107,25 +107,50 @@ func NewSimulationShards(cfg Config, shards int) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	pattern, err := cfg.buildPattern(top)
+	if err := fabric.SetShards(EffectiveShards(shards, top.Routers())); err != nil {
+		return nil, err
+	}
+	inj, ctl, window, engine, err := cfg.assemble(top, fabric)
 	if err != nil {
 		return nil, err
+	}
+	return &Simulation{Config: cfg, Top: top, Fabric: fabric, Injector: inj, Engine: engine, Window: window, Faults: ctl, Shards: fabric.Shards()}, nil
+}
+
+// network is what a run's traffic, fault and measurement stages drive:
+// the wormhole fabric, or the reference oracle shadowing it.
+type network interface {
+	traffic.Network
+	faults.Target
+	metrics.Source
+	NodeUp(n int) bool
+	Register(e *sim.Engine)
+}
+
+// assemble builds cfg's traffic process (pattern, injector at the
+// configured packet rate, burst modulator), fault controller and
+// measurement window over net, and registers them with net on a fresh
+// engine. Every call builds fresh instances: the self-check twin must
+// not share pattern, modulator or RNG state with the fabric side.
+func (cfg Config) assemble(top topology.Topology, net network) (*traffic.Injector, *faults.Controller, *metrics.Window, *sim.Engine, error) {
+	pattern, err := cfg.buildPattern(top)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	// The configured packet size may differ from the paper's, so the
 	// packet rate follows the actual flit count.
-	capFlits, err := phys.CapacityFlits(top)
+	rate, err := phys.PacketRate(top, cfg.Load, net.PacketFlits())
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, nil, err
 	}
-	rate := cfg.Load * capFlits / float64(cfg.PacketBytes/flitBytes)
-	inj, err := traffic.NewInjector(fabric, pattern, rate, cfg.Seed)
+	inj, err := traffic.NewInjector(net, pattern, rate, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, nil, err
 	}
 	if cfg.Burst != "" {
 		mod, err := traffic.ParseBurst(cfg.Burst, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, nil, err
 		}
 		inj.SetModulator(mod)
 	}
@@ -135,31 +160,32 @@ func NewSimulationShards(cfg Config, shards int) (*Simulation, error) {
 		// realized schedule is a pure function of the configuration.
 		sched, err := faults.Parse(cfg.Faults, top, faults.SeedFrom(cfg.Fingerprint()))
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, nil, err
 		}
-		ctl = faults.NewController(sched, fabric)
-		inj.SetAvailability(fabric.NodeUp)
+		ctl = faults.NewController(sched, net)
+		inj.SetAvailability(net.NodeUp)
 	}
-	window, err := metrics.NewWindow(fabric, capFlits)
+	capFlits, err := phys.CapacityFlits(top)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, nil, err
 	}
-	if err := fabric.SetShards(EffectiveShards(shards, top.Routers())); err != nil {
-		return nil, err
+	window, err := metrics.NewWindow(net, capFlits)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	engine := sim.NewEngine()
 	// The fault stage runs first so a cycle's masks are in place before
-	// any traffic or fabric work; the traffic process runs next so a
+	// any traffic or network work; the traffic process runs next so a
 	// packet created in a cycle can begin injecting the same cycle; the
-	// fabric then runs its canonical link / crossbar / routing /
+	// network then runs its canonical link / crossbar / routing /
 	// injection / credits order (fused into the two-phase driver when
-	// sharded).
+	// the fabric is sharded).
 	if ctl != nil {
 		ctl.Register(engine)
 	}
 	inj.Register(engine)
-	fabric.Register(engine)
-	return &Simulation{Config: cfg, Top: top, Fabric: fabric, Injector: inj, Engine: engine, Window: window, Faults: ctl, Shards: fabric.Shards()}, nil
+	net.Register(engine)
+	return inj, ctl, window, engine, nil
 }
 
 // Run executes the experiment with the paper's methodology and returns
@@ -194,23 +220,23 @@ func (s *Simulation) Run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return s.finishResult(sample)
+	return newResult(s.Config, s.Top, sample)
 }
 
-// finishResult converts a measured sample into the full Result with the
-// cost-model conversions to absolute units.
-func (s *Simulation) finishResult(sample metrics.Sample) (Result, error) {
-	cfg := s.Config
+// newResult converts a measured sample into the full Result with the
+// cost-model conversions to absolute units. Live, self-checked and
+// replayed runs all convert through it.
+func newResult(cfg Config, top topology.Topology, sample metrics.Sample) (Result, error) {
 	timing, err := cfg.Timing()
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Config: cfg, Sample: sample, Timing: timing}
-	res.OfferedBitsNS, err = phys.ThroughputBitsPerNS(s.Top, sample.Offered, timing.Clock)
+	res.OfferedBitsNS, err = phys.ThroughputBitsPerNS(top, sample.Offered, timing.Clock)
 	if err != nil {
 		return Result{}, err
 	}
-	res.AcceptedBitsNS, err = phys.ThroughputBitsPerNS(s.Top, sample.Accepted, timing.Clock)
+	res.AcceptedBitsNS, err = phys.ThroughputBitsPerNS(top, sample.Accepted, timing.Clock)
 	if err != nil {
 		return Result{}, err
 	}

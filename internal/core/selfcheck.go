@@ -3,18 +3,15 @@ package core
 import (
 	"fmt"
 
-	"smart/internal/faults"
 	"smart/internal/metrics"
 	"smart/internal/oracle"
-	"smart/internal/phys"
 	"smart/internal/sim"
-	"smart/internal/traffic"
 )
 
 // selfCheckTwin assembles the reference-oracle shadow of an experiment: a
-// second, independently built stack (topology, algorithm, pattern,
-// injector, engine, window) over internal/oracle's naive simulator,
-// seeded identically to the fabric's. Fresh instances throughout — the
+// second, independently built stack (topology, algorithm, traffic,
+// faults, window, engine) over internal/oracle's naive simulator, seeded
+// identically to the fabric's. Fresh instances throughout — the
 // adaptive algorithms carry mutable tie-break state that must evolve
 // per side.
 func (s *Simulation) selfCheckTwin() (*oracle.Sim, *sim.Engine, *metrics.Window, error) {
@@ -31,47 +28,10 @@ func (s *Simulation) selfCheckTwin() (*oracle.Sim, *sim.Engine, *metrics.Window,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	pattern, err := cfg.buildPattern(top)
+	_, _, window, engine, err := cfg.assemble(top, ora)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	capFlits, err := phys.CapacityFlits(top)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rate := cfg.Load * capFlits / float64(s.Fabric.Cfg.PacketFlits)
-	inj, err := traffic.NewInjector(ora, pattern, rate, cfg.Seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if cfg.Burst != "" {
-		// An independently constructed chain from the same seed steps in
-		// lockstep with the fabric side's.
-		mod, err := traffic.ParseBurst(cfg.Burst, cfg.Seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		inj.SetModulator(mod)
-	}
-	var ctl *faults.Controller
-	if cfg.Faults != "" {
-		sched, err := faults.Parse(cfg.Faults, top, faults.SeedFrom(cfg.Fingerprint()))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ctl = faults.NewController(sched, ora)
-		inj.SetAvailability(ora.NodeUp)
-	}
-	window, err := metrics.NewWindow(ora, capFlits)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	engine := sim.NewEngine()
-	if ctl != nil {
-		ctl.Register(engine)
-	}
-	inj.Register(engine)
-	ora.Register(engine)
 	return ora, engine, window, nil
 }
 
@@ -132,5 +92,5 @@ func (s *Simulation) RunSelfChecked() (Result, error) {
 		return Result{}, fmt.Errorf("core: self-check failed for %s (fingerprint %s): fabric sample %+v differs from oracle sample %+v",
 			cfg.Label(), cfg.Fingerprint(), sample, oraSample)
 	}
-	return s.finishResult(sample)
+	return newResult(s.Config, s.Top, sample)
 }

@@ -35,7 +35,7 @@ func TestTelemetryDoesNotChangeBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc, err := telemetry.OpenSidecar(filepath.Join(t.TempDir(), "series.jsonl"), false)
+	sc, err := telemetry.OpenSidecar(filepath.Join(t.TempDir(), "series.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,25 @@ func TestTelemetryDisabledAddsNoStage(t *testing.T) {
 	}
 }
 
+// readSidecar decodes a finished sidecar file.
+func readSidecar(t *testing.T, path string) []telemetry.Record {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.DecodeSidecar(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // TestResumedRunDoesNotDuplicateSidecar checks the resume contract end
 // to end at the run level: a config the -checkpoint store holds is
-// replayed with -resume and never re-runs, so it never re-records, and
-// the resumed sidecar holds the run's series exactly once.
+// replayed and never re-runs, the resumed invocation rewrites the
+// sidecar from scratch, and the series it writes is the stored one —
+// exactly once, digesting equal to the original.
 func TestResumedRunDoesNotDuplicateSidecar(t *testing.T) {
 	dir := t.TempDir()
 	ckptDir := filepath.Join(dir, "runs.ckpt")
@@ -110,7 +125,7 @@ func TestResumedRunDoesNotDuplicateSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := telemetry.OpenSidecar(scPath, false)
+	sc, err := telemetry.OpenSidecar(scPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,28 +138,63 @@ func TestResumedRunDoesNotDuplicateSidecar(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
+	original := readSidecar(t, scPath)
 
-	sc, err = telemetry.OpenSidecar(scPath, true)
+	sc, err = telemetry.OpenSidecar(scPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	if _, err := RunWith(cfg, Options{Store: openStore(t, ckptDir), Telemetry: &telemetry.Options{Sidecar: sc}}); err != nil {
+	resumed := openStore(t, ckptDir)
+	before := resumed.Stats().Bytes
+	if _, err := RunWith(cfg, Options{Store: resumed, Telemetry: &telemetry.Options{Sidecar: sc}}); err != nil {
 		t.Fatal(err)
+	}
+	if got := resumed.Stats().Bytes; got != before {
+		t.Fatalf("replayed run wrote to the store: %d -> %d bytes", before, got)
 	}
 
-	data, err := os.ReadFile(scPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := telemetry.DecodeSidecar(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readSidecar(t, scPath)
 	if len(recs) != 1 {
 		t.Fatalf("resumed sidecar holds %d records, want exactly 1", len(recs))
 	}
 	if recs[0].Fingerprint != cfg.WithDefaults().Fingerprint() {
 		t.Fatalf("record fingerprint %s != config fingerprint %s", recs[0].Fingerprint, cfg.WithDefaults().Fingerprint())
+	}
+	if got, want := telemetry.DigestRecords(recs), telemetry.DigestRecords(original); got != want {
+		t.Fatalf("replayed series digests %s, original %s", got, want)
+	}
+}
+
+// TestRepeatedConfigKeepsEverySeries: a grid that runs one config twice
+// gets two series, one per position, and the sidecar digests the same
+// however the parallel runs finish.
+func TestRepeatedConfigKeepsEverySeries(t *testing.T) {
+	cfg := telemetryTestConfig()
+	b := Batch{Name: "twice", Configs: []Config{cfg, cfg}}
+	want := ""
+	for rep := 0; rep < 20; rep++ {
+		path := filepath.Join(t.TempDir(), "series.jsonl")
+		sc, err := telemetry.OpenSidecar(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.RunWith(2, Options{Telemetry: &telemetry.Options{Sidecar: sc, Config: telemetry.Config{Every: 100}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs := readSidecar(t, path)
+		if len(recs) != 2 || recs[0].Index == recs[1].Index {
+			t.Fatalf("repetition %d: sidecar holds %d series, want one at Index 0 and one at Index 1", rep, len(recs))
+		}
+		d := telemetry.DigestRecords(recs)
+		if want == "" {
+			want = d
+		}
+		if d != want {
+			t.Fatalf("repetition %d: sidecar digests %s, first repetition %s", rep, d, want)
+		}
 	}
 }

@@ -116,8 +116,8 @@ func CapacityBytes(top topology.Topology) (float64, error) {
 
 // PacketRate converts an offered load expressed as a fraction of capacity
 // into the per-node, per-cycle packet creation probability of the
-// injection process.
-func PacketRate(top topology.Topology, loadFraction float64) (float64, error) {
+// injection process, for packets packetFlits flits long.
+func PacketRate(top topology.Topology, loadFraction float64, packetFlits int) (float64, error) {
 	if loadFraction < 0 {
 		return 0, fmt.Errorf("phys: negative load fraction %v", loadFraction)
 	}
@@ -125,11 +125,7 @@ func PacketRate(top topology.Topology, loadFraction float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pf, err := PacketFlits(top)
-	if err != nil {
-		return 0, err
-	}
-	return loadFraction * capFlits / float64(pf), nil
+	return loadFraction * capFlits / float64(packetFlits), nil
 }
 
 // LinkCount returns the number of bidirectional links of the topology as

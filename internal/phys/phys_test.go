@@ -167,12 +167,19 @@ func TestPinCountEqualized(t *testing.T) {
 // packets), which is what makes the normalized x axes comparable.
 func TestPacketRateEqualAcrossFamilies(t *testing.T) {
 	tree, cube := paperPair(t)
-	for _, load := range []float64{0.1, 0.5, 1.0} {
-		tr, err := PacketRate(tree, load)
+	rate := func(top topology.Topology, load float64) (float64, error) {
+		pf, err := PacketFlits(top)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cr, err := PacketRate(cube, load)
+		return PacketRate(top, load, pf)
+	}
+	for _, load := range []float64{0.1, 0.5, 1.0} {
+		tr, err := rate(tree, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := rate(cube, load)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +190,7 @@ func TestPacketRateEqualAcrossFamilies(t *testing.T) {
 			t.Fatalf("load %v: rate %v, want %v", load, tr, want)
 		}
 	}
-	if _, err := PacketRate(tree, -0.1); err == nil {
+	if _, err := rate(tree, -0.1); err == nil {
 		t.Fatal("negative load accepted")
 	}
 }

@@ -9,70 +9,45 @@ import (
 	"testing"
 )
 
-// DedupJournal is the one fingerprint-dedup implementation shared by
-// the telemetry sidecar and the result store index; this is its
-// contract test.
-func TestDedupJournalLastWriteWins(t *testing.T) {
-	lines := []string{
-		`{"fp":"a","v":1}`,
-		`{"fp":"b","v":2}`,
-		`{"fp":"a","v":3}`, // supersedes the first a
-	}
-	data := []byte(strings.Join(lines, "\n") + "\n")
-	decode := func(n int, line []byte) (string, int, error) {
-		var rec struct {
-			FP string `json:"fp"`
-			V  int    `json:"v"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return "", 0, fmt.Errorf("line %d: %w", n, err)
-		}
-		return rec.FP, rec.V, nil
-	}
-	got, valid, err := DedupJournal(data, decode)
+// TestScanJournalSkipsTornTail: every complete line is visited in
+// order, and a torn final line is neither visited nor counted in the
+// returned offset.
+func TestScanJournalSkipsTornTail(t *testing.T) {
+	whole := "{\"fp\":\"a\"}\n{\"fp\":\"b\"}\n"
+	var got []string
+	valid, err := ScanJournal([]byte(whole+`{"fp":"c"`), func(n int, line []byte) error {
+		got = append(got, fmt.Sprintf("%d:%s", n, line))
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("DedupJournal: %v", err)
+		t.Fatalf("ScanJournal: %v", err)
 	}
-	if valid != int64(len(data)) {
-		t.Errorf("valid offset = %d, want %d", valid, len(data))
+	if valid != int64(len(whole)) {
+		t.Errorf("valid offset = %d, want %d", valid, len(whole))
 	}
-	if len(got) != 2 || got["a"] != 3 || got["b"] != 2 {
-		t.Errorf("dedup map = %v, want a=3 (last write wins), b=2", got)
-	}
-
-	// A torn tail is not visited: the partial repetition of b must not
-	// clobber its complete value, and the offset must exclude it.
-	torn := append(append([]byte{}, data...), []byte(`{"fp":"b","v":9`)...)
-	got, valid, err = DedupJournal(torn, decode)
-	if err != nil {
-		t.Fatalf("DedupJournal with torn tail: %v", err)
-	}
-	if valid != int64(len(data)) {
-		t.Errorf("torn-tail valid offset = %d, want %d", valid, len(data))
-	}
-	if got["b"] != 2 {
-		t.Errorf("torn tail visited: b = %d, want 2", got["b"])
+	if want := []string{`1:{"fp":"a"}`, `2:{"fp":"b"}`}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("visited %q, want %q", got, want)
 	}
 }
 
-func TestDedupJournalDecodeErrorAborts(t *testing.T) {
+func TestScanJournalErrorAborts(t *testing.T) {
 	data := []byte("{\"fp\":\"a\"}\nnot json\n{\"fp\":\"c\"}\n")
 	calls := 0
-	_, valid, err := DedupJournal(data, func(n int, line []byte) (string, struct{}, error) {
+	valid, err := ScanJournal(data, func(n int, line []byte) error {
 		calls++
 		var rec struct {
 			FP string `json:"fp"`
 		}
 		if jerr := json.Unmarshal(line, &rec); jerr != nil {
-			return "", struct{}{}, fmt.Errorf("line %d corrupt: %w", n, jerr)
+			return fmt.Errorf("line %d corrupt: %w", n, jerr)
 		}
-		return rec.FP, struct{}{}, nil
+		return nil
 	})
 	if err == nil {
 		t.Fatal("mid-file corruption must abort the scan")
 	}
 	if calls != 2 {
-		t.Errorf("decode called %d times, want 2 (abort at the corrupt line)", calls)
+		t.Errorf("fn called %d times, want 2 (abort at the corrupt line)", calls)
 	}
 	if want := int64(len("{\"fp\":\"a\"}\n")); valid != want {
 		t.Errorf("valid offset = %d, want %d (end of the last good line)", valid, want)

@@ -4,10 +4,11 @@
 // interruption flushes state instead of dropping it, bounds how long a
 // run may go without progress (DefaultWatchdogCycles), and holds the
 // torn-tail-tolerant JSONL journal primitives (ScanJournal,
-// DedupJournal, TruncateTail) that the result store's segments and the
-// telemetry sidecar are built on. Resuming an interrupted grid is the
-// result store's job: a command's -checkpoint is a store the grid
-// opened (internal/store, internal/cli).
+// TruncateTail) that the result store's segments are built on. The
+// store is the one journal: resuming an interrupted grid is its job (a
+// command's -checkpoint is a store the grid opened; internal/store,
+// internal/cli), and a run's time series is stored with its record, so
+// the telemetry sidecar is a plain output rewritten by each invocation.
 //
 // This package is the only place in the tree allowed to call recover
 // (enforced by the smartlint nakedrecover rule): panic isolation is a

@@ -1,32 +1,36 @@
 // Package store is the persistent, content-addressed result cache of
-// the sweep service: completed run records keyed by their config
-// fingerprint (Config.Fingerprint), with the record's order-independent
-// obs.Digest stored alongside so every read re-verifies the bytes it
-// hands out.
+// the sweep service and the one run journal of the grid commands:
+// completed run records keyed by their config fingerprint
+// (Config.Fingerprint), with the record's order-independent obs.Digest
+// stored alongside so every read re-verifies the bytes it hands out. An
+// entry may also carry the run's time series (the telemetry sidecar
+// record, smart/timeseries/v1) under its own SHA-256 digest, so a
+// replayed run re-emits its series as well as its record.
 //
 // On disk a store is a directory of JSONL segment files
 // (seg-000001.jsonl, seg-000002.jsonl, ...), each line one Entry in the
-// smart/store/v1 schema. Segments are append-only and inherit the
-// torn-tail tolerance of the journal primitives in internal/resilience:
-// a process killed mid-append leaves a partial final line that the next
-// Open truncates away, and everything before it survives. Writes go to
-// the highest-numbered (active) segment, which rolls over at a size
-// threshold; an in-memory index maps each fingerprint to its latest
-// entry's byte range, so lookups are one ReadAt. Re-putting a
-// fingerprint appends a superseding entry (last write wins, exactly the
-// resilience.DedupJournal discipline); Compact rewrites the live
-// entries into a single fresh segment and deletes the garbage.
+// smart/store/v1 schema. Segments are append-only and torn-tail
+// tolerant (resilience.ScanJournal): a process killed mid-append leaves
+// a partial final line that the next Open truncates away, and
+// everything before it survives. Writes go to the highest-numbered
+// (active) segment, which rolls over at a size threshold; an in-memory
+// index maps each fingerprint to its latest entry's byte range, so
+// lookups are one ReadAt. Re-putting a fingerprint with changed content
+// appends a superseding entry (last write wins); Compact rewrites the
+// live entries into a single fresh segment and deletes the garbage.
 //
-// Records are stored in canonical position: Batch and Index are
-// cleared, because the store is addressed by config content while a
-// record's position is context of the request that produced it. Readers
-// that replay a cached record into a manifest re-stamp the position
-// they need (core.RunWith does), which is what keeps a read-through
-// sweep's manifest digest identical to an uncached one.
+// Records and series are stored in canonical position: Batch and Index
+// are cleared, because the store is addressed by config content while a
+// run's position is context of the request that produced it. Readers
+// that replay a cached run into a manifest or sidecar re-stamp the
+// position they need (core.RunWith does), which is what keeps a
+// read-through sweep's digests identical to an uncached one.
 package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -51,7 +55,9 @@ const Schema = "smart/store/v1"
 const DefaultSegmentBytes = 4 << 20
 
 // Entry is one line of a segment file: a completed run record, its
-// fingerprint key, and the content digest a reader re-verifies.
+// fingerprint key, the content digest a reader re-verifies, and
+// optionally the run's time series. An entry without a series encodes
+// exactly as it did before series were stored.
 type Entry struct {
 	Schema      string `json:"schema"`
 	Fingerprint string `json:"fingerprint"`
@@ -59,14 +65,22 @@ type Entry struct {
 	// service serves, pinned at write time and recomputed on every read.
 	Digest string        `json:"digest"`
 	Record obs.RunRecord `json:"record"`
+	// Series is the run's position-free telemetry record and
+	// SeriesDigest the hex SHA-256 of its bytes, likewise recomputed on
+	// every read. Both are empty for a run stored without a series.
+	Series       json.RawMessage `json:"series,omitempty"`
+	SeriesDigest string          `json:"series_digest,omitempty"`
 }
 
-// loc is an index entry: where a fingerprint's latest record lives.
+// loc is an index entry: where a fingerprint's latest entry lives, and
+// the content a re-put compares against.
 type loc struct {
 	seg    int   // index into Store.segs
 	off    int64 // byte offset of the line
 	length int64 // line length, newline excluded
-	digest string
+	// content is Digest followed by SeriesDigest; the latter is empty
+	// without a series, so the common case shares the Digest string.
+	content string
 }
 
 // Stats is a point-in-time summary of a store, served by the sweep
@@ -142,40 +156,31 @@ func Open(dir string) (*Store, error) {
 }
 
 // loadSegment scans one segment file into the index. Each complete line
-// must decode as a schema-valid Entry whose digest matches its record —
+// must decode as a schema-valid Entry whose digests match its content —
 // mid-file corruption or tampering is an open error, a torn tail is
-// silently excluded (and, on the active segment, truncated by Open).
+// silently excluded (and, on the active segment, truncated by Open). A
+// later line for a fingerprint, in this segment or a later one,
+// supersedes the earlier one.
 func (s *Store) loadSegment(seg int, name string) error {
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
 		return fmt.Errorf("store: reading segment %s: %w", name, err)
 	}
 	var off int64
-	lines := 0
-	locs, valid, err := resilience.DedupJournal(data, func(n int, line []byte) (string, loc, error) {
+	valid, err := resilience.ScanJournal(data, func(n int, line []byte) error {
 		e, err := decodeEntry(line)
 		if err != nil {
-			return "", loc{}, fmt.Errorf("store: segment %s line %d: %w", name, n, err)
+			return fmt.Errorf("store: segment %s line %d: %w", name, n, err)
 		}
-		l := loc{seg: seg, off: off, length: int64(len(line)), digest: e.Digest}
+		if _, ok := s.index[e.Fingerprint]; ok {
+			s.superseded++
+		}
+		s.index[e.Fingerprint] = loc{seg: seg, off: off, length: int64(len(line)), content: e.Digest + e.SeriesDigest}
 		off += int64(len(line)) + 1
-		lines++
-		return e.Fingerprint, l, nil
+		return nil
 	})
 	if err != nil {
 		return err
-	}
-	// Lines DedupJournal collapsed within this segment are superseded
-	// entries too — garbage Compact will reclaim.
-	s.superseded += int64(lines - len(locs))
-	// Later segments supersede earlier ones; within one segment
-	// DedupJournal already kept the last line per fingerprint.
-	for _, fp := range order.Keys(locs) {
-		if _, ok := s.index[fp]; ok {
-			s.superseded++
-		}
-		s.index[fp] = locs[fp]
 	}
 	if seg == len(s.segs)-1 {
 		s.activeSize = valid
@@ -202,7 +207,20 @@ func decodeEntry(line []byte) (Entry, error) {
 	if d := obs.Digest([]obs.RunRecord{e.Record}); d != e.Digest {
 		return e, fmt.Errorf("record %s fails digest verification: stored %s, recomputed %s", e.Fingerprint, e.Digest, d)
 	}
+	if d := seriesDigest(e.Series); d != e.SeriesDigest {
+		return e, fmt.Errorf("series %s fails digest verification: stored %s, recomputed %s", e.Fingerprint, e.SeriesDigest, d)
+	}
 	return e, nil
+}
+
+// seriesDigest is the content digest of an entry's series bytes, "" for
+// no series.
+func seriesDigest(series []byte) string {
+	if len(series) == 0 {
+		return ""
+	}
+	sum := sha256.Sum256(series)
+	return hex.EncodeToString(sum[:])
 }
 
 // Dir returns the store's root directory.
@@ -245,13 +263,21 @@ func Canonical(rec obs.RunRecord) obs.RunRecord {
 	return rec
 }
 
-// Put journals one completed run, canonicalized and flushed to the
-// active segment before returning, and indexes it. Failure records are
-// rejected — failures are cheap to re-attempt and must not be served
-// from cache. Re-putting a fingerprint whose stored content digest is
-// unchanged is a no-op; changed content appends a superseding entry.
-// Put returns the entry's content digest (the service's ETag).
+// Put journals one completed run without a series; see PutSeries.
 func (s *Store) Put(rec obs.RunRecord) (string, error) {
+	return s.PutSeries(rec, nil)
+}
+
+// PutSeries journals one completed run together with its time series
+// (nil for none), canonicalized and flushed to the active segment
+// before returning, and indexes it. The series is the run's telemetry
+// record with Batch and Index cleared, like the record. Failure records
+// are rejected — failures are cheap to re-attempt and must not be
+// served from cache. Re-putting a fingerprint whose record and series
+// digests are both unchanged is a no-op; changed content appends a
+// superseding entry. PutSeries returns the record's content digest (the
+// service's ETag).
+func (s *Store) PutSeries(rec obs.RunRecord, series json.RawMessage) (string, error) {
 	if rec.Failure != "" {
 		return "", fmt.Errorf("store: refusing to cache failure record %s (%s)", rec.Fingerprint, rec.Failure)
 	}
@@ -260,7 +286,17 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 	}
 	rec = Canonical(rec)
 	digest := obs.Digest([]obs.RunRecord{rec})
-	line, err := json.Marshal(Entry{Schema: Schema, Fingerprint: rec.Fingerprint, Digest: digest, Record: rec})
+	if len(series) > 0 {
+		// The bytes digested must be the bytes the entry line carries,
+		// which the encoder compacts.
+		var err error
+		if series, err = json.Marshal(series); err != nil {
+			return "", fmt.Errorf("store: encoding series %s: %w", rec.Fingerprint, err)
+		}
+	}
+	sd := seriesDigest(series)
+	content := digest + sd
+	line, err := json.Marshal(Entry{Schema: Schema, Fingerprint: rec.Fingerprint, Digest: digest, Record: rec, Series: series, SeriesDigest: sd})
 	if err != nil {
 		return "", fmt.Errorf("store: encoding entry %s: %w", rec.Fingerprint, err)
 	}
@@ -270,7 +306,7 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 		return "", fmt.Errorf("store: %s is closed", s.dir)
 	}
 	if have, ok := s.index[rec.Fingerprint]; ok {
-		if have.digest == digest {
+		if have.content == content {
 			return digest, nil
 		}
 		s.superseded++
@@ -283,7 +319,7 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 	if _, err := s.active.Write(append(line, '\n')); err != nil {
 		return "", fmt.Errorf("store: appending entry %s: %w", rec.Fingerprint, err)
 	}
-	s.index[rec.Fingerprint] = loc{seg: len(s.segs) - 1, off: s.activeSize, length: int64(len(line)), digest: digest}
+	s.index[rec.Fingerprint] = loc{seg: len(s.segs) - 1, off: s.activeSize, length: int64(len(line)), content: content}
 	s.activeSize += int64(len(line)) + 1
 	return digest, nil
 }
@@ -308,43 +344,41 @@ func (s *Store) rollSegment() error {
 	return nil
 }
 
-// Get returns the stored record and content digest for a fingerprint.
-// The read is digest-verifying: the entry's bytes are re-read from the
-// segment file, strictly decoded, and the digest recomputed — a store
-// never serves content it cannot re-derive. Absent fingerprints return
-// ok == false with no error.
+// Get returns the stored record and content digest for a fingerprint,
+// verified as Lookup verifies it. Absent fingerprints return ok ==
+// false with no error.
 func (s *Store) Get(fingerprint string) (rec obs.RunRecord, digest string, ok bool, err error) {
+	e, ok, err := s.Lookup(fingerprint)
+	return e.Record, e.Digest, ok, err
+}
+
+// Lookup returns the stored entry for a fingerprint: record, series and
+// their digests. The read is digest-verifying: the entry's bytes are
+// re-read from the segment file, strictly decoded, and both digests
+// recomputed — a store never serves content it cannot re-derive. Absent
+// fingerprints return ok == false with no error.
+func (s *Store) Lookup(fingerprint string) (Entry, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return rec, "", false, fmt.Errorf("store: %s is closed", s.dir)
+		return Entry{}, false, fmt.Errorf("store: %s is closed", s.dir)
 	}
 	l, found := s.index[fingerprint]
 	if !found {
-		return rec, "", false, nil
+		return Entry{}, false, nil
 	}
-	line := make([]byte, l.length)
-	if l.seg == len(s.segs)-1 {
-		_, err = s.active.ReadAt(line, l.off)
-	} else {
-		var f *os.File
-		f, err = os.Open(filepath.Join(s.dir, s.segs[l.seg]))
-		if err == nil {
-			_, err = f.ReadAt(line, l.off)
-			f.Close()
-		}
-	}
+	line, err := s.readLocked(l)
 	if err != nil {
-		return rec, "", false, fmt.Errorf("store: reading entry %s: %w", fingerprint, err)
+		return Entry{}, false, fmt.Errorf("store: reading entry %s: %w", fingerprint, err)
 	}
 	e, err := decodeEntry(line)
 	if err != nil {
-		return rec, "", false, fmt.Errorf("store: entry %s: %w", fingerprint, err)
+		return Entry{}, false, fmt.Errorf("store: entry %s: %w", fingerprint, err)
 	}
 	if e.Fingerprint != fingerprint {
-		return rec, "", false, fmt.Errorf("store: index for %s points at entry %s", fingerprint, e.Fingerprint)
+		return Entry{}, false, fmt.Errorf("store: index for %s points at entry %s", fingerprint, e.Fingerprint)
 	}
-	return e.Record, e.Digest, true, nil
+	return e, true, nil
 }
 
 // Fingerprints returns the live fingerprints in sorted order.
@@ -376,7 +410,8 @@ func (s *Store) Compact() error {
 	newIndex := make(map[string]loc, len(fps))
 	var off int64
 	for _, fp := range fps {
-		line, err := s.readLocked(fp)
+		l := s.index[fp]
+		line, err := s.readLocked(l)
 		if err == nil {
 			if _, werr := tmp.Write(append(line, '\n')); werr != nil {
 				err = werr
@@ -387,7 +422,7 @@ func (s *Store) Compact() error {
 			os.Remove(tmpPath)
 			return fmt.Errorf("store: compacting entry %s: %w", fp, err)
 		}
-		newIndex[fp] = loc{seg: 0, off: off, length: int64(len(line)), digest: s.index[fp].digest}
+		newIndex[fp] = loc{seg: 0, off: off, length: int64(len(line)), content: l.content}
 		off += int64(len(line)) + 1
 	}
 	if err := tmp.Sync(); err != nil {
@@ -420,13 +455,9 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// readLocked returns the raw line bytes of a fingerprint's entry.
-// Called with the lock held.
-func (s *Store) readLocked(fp string) ([]byte, error) {
-	l, ok := s.index[fp]
-	if !ok {
-		return nil, fmt.Errorf("not indexed")
-	}
+// readLocked returns the raw line bytes of an indexed entry. Called
+// with the lock held.
+func (s *Store) readLocked(l loc) ([]byte, error) {
 	line := make([]byte, l.length)
 	if l.seg == len(s.segs)-1 {
 		if _, err := s.active.ReadAt(line, l.off); err != nil {

@@ -407,3 +407,130 @@ func TestFingerprintsSorted(t *testing.T) {
 		t.Errorf("Fingerprints() = %v, want sorted [aa mm zz]", got)
 	}
 }
+
+// testSeries fabricates a position-free time-series record; the store
+// treats a series as opaque JSON.
+func testSeries(fp string, points int) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(`{"schema":"smart/timeseries/v1","fingerprint":%q,"every":100,"points":[{"cycle":%d}]}`, fp, 100*points))
+}
+
+func TestSeriesRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := testSeries("fp-1", 1)
+	digest, err := s.PutSeries(testRecord("fp-1", 1, 0.5), series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, testRecord("fp-2", 2, 0.5))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	e, ok, err := s.Lookup("fp-1")
+	if err != nil || !ok {
+		t.Fatalf("Lookup: ok=%v err=%v", ok, err)
+	}
+	if string(e.Series) != string(series) || e.Digest != digest || e.SeriesDigest != seriesDigest(series) {
+		t.Errorf("round trip: series %s digest %s series digest %s", e.Series, e.Digest, e.SeriesDigest)
+	}
+	if rec, d, _, _ := s.Get("fp-1"); d != digest || rec.Fingerprint != "fp-1" {
+		t.Errorf("Get of a series entry = (%s, %s)", rec.Fingerprint, d)
+	}
+	// An entry stored without a series encodes without the fields.
+	data, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 || strings.Contains(lines[1], "series") {
+		t.Errorf("series-free entry line carries series fields: %s", lines[len(lines)-1])
+	}
+	if e, _, _ := s.Lookup("fp-2"); e.Series != nil || e.SeriesDigest != "" {
+		t.Errorf("series-free entry read back series %q digest %q", e.Series, e.SeriesDigest)
+	}
+}
+
+func TestTamperedSeriesFailsOpenAndRead(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.PutSeries(testRecord("fp-0", 0, 0.5), testSeries("fp-0", 1)); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segmentName(1))
+	data, _ := os.ReadFile(seg)
+	tampered := strings.Replace(string(data), `"cycle":100`, `"cycle":900`, 1)
+	if tampered == string(data) {
+		t.Fatal("tamper target not found; fixture drifted")
+	}
+	if err := os.WriteFile(seg, []byte(tampered), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Lookup("fp-0"); err == nil || !strings.Contains(err.Error(), "series fp-0 fails digest verification") {
+		t.Errorf("tampered series served by Lookup: err = %v", err)
+	}
+	if _, _, _, err := s.Get("fp-0"); err == nil || !strings.Contains(err.Error(), "digest verification") {
+		t.Errorf("tampered series entry served by Get: err = %v", err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "series fp-0 fails digest verification") {
+		t.Errorf("store with a tampered series opened: err = %v", err)
+	}
+}
+
+func TestChangedSeriesSupersedes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord("fp-1", 1, 0.5)
+	d1 := mustPut(t, s, rec)
+	for i, series := range []json.RawMessage{testSeries("fp-1", 1), testSeries("fp-1", 1), testSeries("fp-1", 2)} {
+		d, err := s.PutSeries(rec, series)
+		if err != nil || d != d1 {
+			t.Fatalf("put %d: digest %s err %v, want the record digest %s", i, d, err, d1)
+		}
+	}
+	// The first series supersedes the series-free entry, its identical
+	// re-put is a no-op, and the changed series supersedes again.
+	if sup := s.Stats().Superseded; sup != 2 {
+		t.Errorf("Superseded = %d, want 2", sup)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if sup := s.Stats().Superseded; sup != 2 {
+		t.Errorf("reopened Superseded = %d, want 2", sup)
+	}
+	if e, _, err := s.Lookup("fp-1"); err != nil || string(e.Series) != string(testSeries("fp-1", 2)) {
+		t.Errorf("Lookup after supersede = %s, %v; want the latest series", e.Series, err)
+	}
+	// Compaction keeps the series digest indexed: re-putting the live
+	// series still writes nothing.
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Bytes
+	if _, err := s.PutSeries(rec, testSeries("fp-1", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Bytes; got != before {
+		t.Errorf("identical series re-put after Compact grew the store %d -> %d bytes", before, got)
+	}
+}

@@ -22,7 +22,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live telemetry on this `address` (/metrics Prometheus text, /telemetry.json)")
 	fs.Int64Var(&f.SampleEvery, "sample-every", 100, "telemetry sampling cadence in `cycles`")
-	fs.StringVar(&f.SidecarPath, "timeseries", "", "journal each run's time series to this JSONL `file` (schema "+Schema+")")
+	fs.StringVar(&f.SidecarPath, "timeseries", "", "write each run's time series to this JSONL `file` (schema "+Schema+")")
 	return f
 }
 
@@ -33,7 +33,7 @@ func (f *Flags) Enabled() bool {
 
 // Options is the assembled telemetry configuration the experiment layer
 // (core.Options.Telemetry) consumes: where live state is served, where
-// series are journaled, and how samplers are tuned. Either sink may be
+// series are written, and how samplers are tuned. Either sink may be
 // nil.
 type Options struct {
 	Server  *Server
@@ -42,12 +42,12 @@ type Options struct {
 }
 
 // Open materializes the sinks the flags describe, or nil when telemetry
-// is off. resume reopens an existing sidecar and dedups already-recorded
-// runs (pass the -resume flag's value). The returned stop function
-// closes the listener and syncs the sidecar; call it once on the exit
-// path. The returned address is the endpoint actually bound ("" when
-// -metrics-addr is off) — report it so ":0" users can find the port.
-func (f *Flags) Open(resume bool) (opts *Options, addr string, stop func() error, err error) {
+// is off. The sidecar is created fresh, like the manifest. The returned
+// stop function closes the listener and syncs the sidecar; call it once
+// on the exit path. The returned address is the endpoint actually bound
+// ("" when -metrics-addr is off) — report it so ":0" users can find the
+// port.
+func (f *Flags) Open() (opts *Options, addr string, stop func() error, err error) {
 	if !f.Enabled() {
 		return nil, "", func() error { return nil }, nil
 	}
@@ -62,7 +62,7 @@ func (f *Flags) Open(resume bool) (opts *Options, addr string, stop func() error
 		addr = ln.Addr().String()
 	}
 	if f.SidecarPath != "" {
-		opts.Sidecar, err = OpenSidecar(f.SidecarPath, resume)
+		opts.Sidecar, err = OpenSidecar(f.SidecarPath)
 		if err != nil {
 			if ln != nil {
 				ln.Close()

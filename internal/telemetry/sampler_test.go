@@ -169,7 +169,7 @@ func TestSamplerRecordRoundTrips(t *testing.T) {
 	sp.Finish("")
 
 	path := filepath.Join(t.TempDir(), "series.jsonl")
-	sc, err := telemetry.OpenSidecar(path, false)
+	sc, err := telemetry.OpenSidecar(path)
 	if err != nil {
 		t.Fatal(err)
 	}

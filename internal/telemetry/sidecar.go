@@ -6,12 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
-
-	"smart/internal/resilience"
 )
 
 // Schema versions the time-series sidecar record layout. Decoders
@@ -68,81 +65,31 @@ func RecordOf(s *Sampler) Record {
 	}
 }
 
-// Sidecar journals time-series records to a JSONL file next to the run
-// manifest, one record per run, flushed as each run finishes. Opened
-// with resume it loads the already-recorded fingerprints, and Write
-// drops duplicates — so a kill-and-resume sweep produces a sidecar with
-// each run's series exactly once. The file tolerates the same torn tail
-// the result store's segments do (resilience.ScanJournal).
+// Sidecar writes time-series records to a JSONL file next to the run
+// manifest, one record per run, as each run finishes. Like the
+// manifest it is an output of one invocation, rewritten from scratch;
+// the result store is what survives a kill. A resumed or read-through
+// run's series is replayed from its store entry, so the sidecar of a
+// resumed grid still holds every run.
 type Sidecar struct {
 	//smartlint:allow concurrency — telemetry sidecar is off the cycle path; the mutex serializes writer access
 	mu     sync.Mutex
 	f      *os.File
 	enc    *json.Encoder
-	path   string
-	seen   map[string]bool
 	closed bool
 }
 
-// OpenSidecar creates (or, with resume, reopens and scans) the sidecar
-// at path. Without resume an existing file is truncated.
-func OpenSidecar(path string, resume bool) (*Sidecar, error) {
-	flags := os.O_RDWR | os.O_CREATE
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+// OpenSidecar creates, or truncates, the sidecar at path.
+func OpenSidecar(path string) (*Sidecar, error) {
+	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: opening sidecar: %w", err)
 	}
-	s := &Sidecar{f: f, path: path, seen: map[string]bool{}}
-	if resume {
-		data, err := io.ReadAll(f)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("telemetry: reading sidecar %s: %w", path, err)
-		}
-		seen, valid, err := resilience.DedupJournal(data, func(n int, line []byte) (string, bool, error) {
-			var rec struct {
-				Schema      string `json:"schema"`
-				Fingerprint string `json:"fingerprint"`
-			}
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return "", false, fmt.Errorf("telemetry: sidecar %s line %d is corrupt: %w", path, n, err)
-			}
-			if rec.Schema != Schema {
-				return "", false, fmt.Errorf("telemetry: sidecar %s line %d has unknown schema %q (want %q)", path, n, rec.Schema, Schema)
-			}
-			return rec.Fingerprint, true, nil
-		})
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.seen = seen
-		if err := resilience.TruncateTail(f, valid); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	s.enc = json.NewEncoder(f)
-	return s, nil
+	return &Sidecar{f: f, enc: json.NewEncoder(f)}, nil
 }
 
-// Path returns the sidecar's file path.
-func (s *Sidecar) Path() string { return s.path }
-
-// Len returns the number of distinct runs on record.
-func (s *Sidecar) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.seen)
-}
-
-// Write journals one run's record, flushing before returning. A record
-// whose fingerprint is already on file is dropped — the resume dedup
-// that keeps a kill-and-resume sweep from duplicating series. Safe for
-// concurrent use by parallel runners.
+// Write appends one run's record to the file. Safe for concurrent use
+// by parallel runners.
 func (s *Sidecar) Write(rec Record) error {
 	if rec.Schema == "" {
 		rec.Schema = Schema
@@ -150,15 +97,11 @@ func (s *Sidecar) Write(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("telemetry: sidecar %s is closed", s.path)
-	}
-	if s.seen[rec.Fingerprint] {
-		return nil
+		return fmt.Errorf("telemetry: sidecar %s is closed", s.f.Name())
 	}
 	if err := s.enc.Encode(rec); err != nil {
-		return fmt.Errorf("telemetry: journaling series %s: %w", rec.Fingerprint, err)
+		return fmt.Errorf("telemetry: writing series %s: %w", rec.Fingerprint, err)
 	}
-	s.seen[rec.Fingerprint] = true
 	return nil
 }
 

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func sidecarRecord(fingerprint string, index int) Record {
 	return Record{
@@ -15,107 +11,7 @@ func sidecarRecord(fingerprint string, index int) Record {
 	}
 }
 
-// TestSidecarKillAndResume simulates the interruption the sidecar is
-// built for: a process killed mid-write leaves a torn final line, and
-// the resumed process re-runs some configs. The resumed sidecar must
-// hold each run's series exactly once, torn tail discarded.
-func TestSidecarKillAndResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "series.jsonl")
-
-	sc, err := OpenSidecar(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Write(sidecarRecord("fp-a", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Write(sidecarRecord("fp-b", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The kill: a partial record with no trailing newline.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"schema":"smart/timeseries/v1","fingerprint":"fp-c","points":[{"cy`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// The resume: already-journaled fingerprints are deduped, the torn
-	// record is re-written whole, and a new run appends.
-	sc, err = OpenSidecar(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Len() != 2 {
-		t.Fatalf("resumed sidecar holds %d runs, want 2", sc.Len())
-	}
-	for _, rec := range []Record{
-		sidecarRecord("fp-a", 0), // replayed by the resumed grid: must dedup
-		sidecarRecord("fp-c", 2), // the torn run, re-run to completion
-		sidecarRecord("fp-b", 1), // replayed again
-	} {
-		if err := sc.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sc.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := DecodeSidecar(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("resumed sidecar decodes to %d records, want 3", len(recs))
-	}
-	seen := map[string]int{}
-	for _, rec := range recs {
-		seen[rec.Fingerprint]++
-	}
-	for _, fp := range []string{"fp-a", "fp-b", "fp-c"} {
-		if seen[fp] != 1 {
-			t.Fatalf("fingerprint %s appears %d times, want exactly once (%v)", fp, seen[fp], seen)
-		}
-	}
-
-	// The resume contract: the interrupted-and-resumed file digests
-	// identically to an uninterrupted reference, despite different
-	// record order.
-	reference := []Record{sidecarRecord("fp-b", 1), sidecarRecord("fp-c", 2), sidecarRecord("fp-a", 0)}
-	if got, want := DigestRecords(recs), DigestRecords(reference); got != want {
-		t.Fatalf("resumed digest %s != reference digest %s", got, want)
-	}
-}
-
-func TestSidecarRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "series.jsonl")
-	if err := os.WriteFile(path, []byte("not json\n{\"schema\":\"smart/timeseries/v1\"}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSidecar(path, true); err == nil {
-		t.Fatal("resume over mid-file corruption succeeded, want error")
-	}
-}
-
 func TestSidecarRejectsUnknownSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "series.jsonl")
-	if err := os.WriteFile(path, []byte(`{"schema":"smart/timeseries/v99","fingerprint":"x"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSidecar(path, true); err == nil {
-		t.Fatal("resume over unknown schema succeeded, want error")
-	}
 	if _, err := DecodeSidecar([]byte(`{"schema":"smart/timeseries/v99"}` + "\n")); err == nil {
 		t.Fatal("decode of unknown schema succeeded, want error")
 	}

@@ -2,9 +2,14 @@
 // zero-allocation sampler that snapshots fabric counters every N cycles
 // into a fixed-capacity ring of time-series points, a congestion-event
 // detector (per-class utilization hysteresis, queue growth, watchdog
-// near-stall), a JSONL sidecar that journals one time-series record per
-// run next to the manifest, and an HTTP endpoint that serves the live
-// state in Prometheus text and JSON form.
+// near-stall), a JSONL sidecar that holds one time-series record per run
+// next to the manifest, and an HTTP endpoint that serves the live state
+// in Prometheus text and JSON form.
+//
+// The sidecar is an output, not a journal: each invocation writes it
+// afresh. A run's series is also stored with its record in the result
+// store (internal/store), which is what a resumed or read-through grid
+// replays it from.
 //
 // The package is observation-only by contract: a sampler reads fabric
 // state at end of cycle and never writes any, so registering one cannot

@@ -10,6 +10,8 @@
 # 3. Round-trips a fault schedule through its JSONL form: a schedule
 #    file drives netsim to the same report as the inline spec, and
 #    `manifest -digest` gives it a stable content address.
+# 4. A malformed -burst fails the sweep before its grid starts: exit 1
+#    and no manifest written.
 #
 # Usage: scripts/fault_smoke.sh [workdir]
 set -euo pipefail
@@ -20,6 +22,7 @@ mkdir -p "$work" bin
 
 go build -o bin/netsim ./cmd/netsim
 go build -o bin/manifest ./cmd/manifest
+go build -o bin/sweep ./cmd/sweep
 
 args=(-net cube -k 4 -n 2 -alg duato -vcs 4 -pattern uniform -load 0.4
     -seed 9 -warmup 300 -horizon 2500
@@ -61,5 +64,12 @@ d2=$(bin/manifest -digest "$work/sched.jsonl" | awk '{print $1}')
     echo "manifest digest of the schedule is unstable: $d1 vs $d2"; exit 1; }
 bin/manifest "$work/sched.jsonl" | grep -q "canonical: $spec" || {
     echo "manifest did not recover the canonical spec"; exit 1; }
+
+echo "== malformed -burst is refused before the grid =="
+if bin/sweep -quick -net tree -vcs 2 -k 4 -n 2 -burst bogus -manifest "$work/bogus.jsonl" 2>"$work/bogus.err"; then
+    echo "sweep accepted -burst bogus"; exit 1
+fi
+grep -q 'burst' "$work/bogus.err" || { echo "refusal does not name the burst spec"; exit 1; }
+[ ! -e "$work/bogus.jsonl" ] || { echo "refused sweep still wrote a manifest"; exit 1; }
 
 echo "fault smoke passed (workdir $work)"

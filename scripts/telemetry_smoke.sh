@@ -6,9 +6,10 @@
 #    simulations are in flight.
 # 2. Runs a reference sweep with a -timeseries sidecar and validates it
 #    with `telemetry -check`.
-# 3. Interrupts a checkpointed sweep mid-grid, resumes it, and requires
-#    the resumed sidecar to digest identically to the uninterrupted
-#    reference — the sidecar half of the kill-and-resume contract.
+# 3. Interrupts a checkpointed sweep mid-grid and resumes it writing a
+#    fresh sidecar path, and requires that sidecar to digest identically
+#    to the uninterrupted reference: the runs the checkpoint store
+#    replays re-emit their stored series.
 #
 # Usage: scripts/telemetry_smoke.sh [workdir]
 set -euo pipefail
@@ -37,16 +38,16 @@ done
 metrics=""
 for _ in $(seq 1 50); do
     metrics=$(curl -fsS "http://$addr/metrics" || true)
-    if echo "$metrics" | grep -q '^smart_run_flits_injected_total'; then
+    if grep -q '^smart_run_flits_injected_total' <<<"$metrics"; then
         break
     fi
     sleep 0.2
 done
-echo "$metrics" | grep -q '^smart_runs_active' || { echo "no smart_runs_active in /metrics"; kill "$pid"; exit 1; }
-echo "$metrics" | grep -q '^smart_run_flits_injected_total' || { echo "no live run counters in /metrics"; kill "$pid"; exit 1; }
-echo "$metrics" | grep -q '^smart_grid_total' || { echo "no grid progress in /metrics"; kill "$pid"; exit 1; }
+grep -q '^smart_runs_active' <<<"$metrics" || { echo "no smart_runs_active in /metrics"; kill "$pid"; exit 1; }
+grep -q '^smart_run_flits_injected_total' <<<"$metrics" || { echo "no live run counters in /metrics"; kill "$pid"; exit 1; }
+grep -q '^smart_grid_total' <<<"$metrics" || { echo "no grid progress in /metrics"; kill "$pid"; exit 1; }
 snapshot=$(curl -fsS "http://$addr/telemetry.json")
-echo "$snapshot" | grep -q '"runs_active"' || { echo "/telemetry.json malformed"; kill "$pid"; exit 1; }
+grep -q '"runs_active"' <<<"$snapshot" || { echo "/telemetry.json malformed"; kill "$pid"; exit 1; }
 echo "scraped live metrics from $addr mid-run"
 wait "$pid"
 bin/telemetry -check "$work/live.jsonl"
@@ -56,12 +57,12 @@ bin/sweep "${net[@]}" -timeseries "$work/ref.jsonl" > /dev/null
 bin/telemetry -check "$work/ref.jsonl"
 
 echo "== kill-and-resume sidecar =="
-bin/sweep "${net[@]}" -checkpoint "$work/sweep.ckpt" -timeseries "$work/resumed.jsonl" > /dev/null &
+bin/sweep "${net[@]}" -checkpoint "$work/sweep.ckpt" -timeseries "$work/killed.jsonl" > /dev/null &
 pid=$!
 sleep 2
 kill -INT "$pid"
 wait "$pid" || true
-echo "checkpoint holds $(cat "$work"/sweep.ckpt/seg-*.jsonl | wc -l) completed runs, sidecar $(wc -l < "$work/resumed.jsonl") series"
+echo "checkpoint holds $(cat "$work"/sweep.ckpt/seg-*.jsonl | wc -l) completed runs, sidecar $(wc -l < "$work/killed.jsonl") series"
 bin/sweep "${net[@]}" -checkpoint "$work/sweep.ckpt" -resume -timeseries "$work/resumed.jsonl" > /dev/null
 bin/telemetry -check "$work/resumed.jsonl"
 bin/telemetry -digest "$work/ref.jsonl" "$work/resumed.jsonl"
