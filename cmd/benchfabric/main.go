@@ -46,6 +46,10 @@ type point struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	AllocsPerCyc float64 `json:"allocs_per_cycle"`
 	BytesPerCyc  float64 `json:"bytes_per_cycle"`
+	// HeapLiveMB is the live heap after a forced GC at the end of the
+	// timed run, with the fabric still reachable: lane state, flit
+	// arena and packet table. Absent from records that predate it.
+	HeapLiveMB float64 `json:"heap_live_mb,omitempty"`
 }
 
 // record is one measured revision.
@@ -99,6 +103,7 @@ func measure(network smart.NetworkKind, nodes, shards int, load float64, settle 
 		return point{}, err
 	}
 	var fail error
+	var heapMB float64
 	res := testing.Benchmark(func(b *testing.B) {
 		s, err := smart.NewSimulationShards(cfg, shards)
 		if err != nil {
@@ -110,6 +115,9 @@ func measure(network smart.NetworkKind, nodes, shards int, load float64, settle 
 		b.ResetTimer()
 		start := s.Engine.Cycle()
 		s.Engine.Run(start + int64(b.N))
+		b.StopTimer()
+		heapMB = liveHeapMB()
+		runtime.KeepAlive(s)
 	})
 	if fail != nil {
 		return point{}, fail
@@ -124,7 +132,16 @@ func measure(network smart.NetworkKind, nodes, shards int, load float64, settle 
 		CyclesPerSec: 1e9 / nsPerCycle,
 		AllocsPerCyc: float64(res.MemAllocs) / float64(res.N),
 		BytesPerCyc:  float64(res.MemBytes) / float64(res.N),
+		HeapLiveMB:   heapMB,
 	}, nil
+}
+
+// liveHeapMB forces a collection and returns the live heap in MB.
+func liveHeapMB() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / 1e6
 }
 
 // checkShards runs one cell at a fixed horizon on every requested shard
@@ -243,8 +260,8 @@ func main() {
 					if err != nil {
 						fatal(fmt.Errorf("%s n=%d shards=%d load=%.1f: %v", network, nodes, shards, load, err))
 					}
-					fmt.Printf("%-5s n=%-7d shards=%-2d load=%.1f  %10.0f cycles/sec  %10.1f ns/cycle  %6.2f allocs/cycle\n",
-						network, nodes, p.Shards, p.Load, p.CyclesPerSec, p.NSPerCycle, p.AllocsPerCyc)
+					fmt.Printf("%-5s n=%-7d shards=%-2d load=%.1f  %10.0f cycles/sec  %10.1f ns/cycle  %6.2f allocs/cycle  %8.1f MB live\n",
+						network, nodes, p.Shards, p.Load, p.CyclesPerSec, p.NSPerCycle, p.AllocsPerCyc, p.HeapLiveMB)
 					rec.Results = append(rec.Results, p)
 				}
 			}
