@@ -65,6 +65,7 @@ SMOKE_PROCS ?= 4
 shard-smoke:
 	GOMAXPROCS=$(SMOKE_PROCS) $(GO) test -race -run Shard ./internal/...
 	GOMAXPROCS=$(SMOKE_PROCS) $(GO) run ./cmd/benchfabric -nodes 256 -shards 1,4 -loads 0.6 -o ''
+	GOMAXPROCS=$(SMOKE_PROCS) $(GO) run ./cmd/benchfabric -networks cube -nodes 4096 -shards 1,2 -loads 0.4 -o ''
 
 # The shardsafe leg of the CI lint matrix: the analyzer's own fixture
 # and seeded-violation tests plus the shard engine they protect, under

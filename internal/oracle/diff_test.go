@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"smart/internal/routing"
@@ -300,6 +301,28 @@ func TestOracleStandalone(t *testing.T) {
 		}
 		if pk.Hops < int32(top.Distance(int(pk.Src), int(pk.Dst)))-1 {
 			t.Fatalf("packet %d took %d hops, below the %d-link minimal path", id, pk.Hops, top.Distance(int(pk.Src), int(pk.Dst)))
+		}
+	}
+}
+
+// TestOracleMirrorsFabricBounds checks that the two simulators accept
+// the same configs at the fabric's 16-bit field bounds, so a config
+// either builds both or neither.
+func TestOracleMirrorsFabricBounds(t *testing.T) {
+	sp := diffSpec{family: "cube", k: 4, n: 1, alg: "dor", buf: 4, flits: 4, inj: 1}
+	for _, edit := range []func(*wormhole.Config){
+		func(c *wormhole.Config) { c.BufDepth = math.MaxInt16 },
+		func(c *wormhole.Config) { c.BufDepth = math.MaxInt16 + 1 },
+		func(c *wormhole.Config) { c.PacketFlits = math.MaxInt16 },
+		func(c *wormhole.Config) { c.PacketFlits = math.MaxInt16 + 1 },
+	} {
+		top, alg := sp.buildTopAlg(t)
+		cfg := sp.config(alg.VCs())
+		edit(&cfg)
+		_, ferr := wormhole.NewFabric(top, cfg, alg)
+		_, oerr := New(top, cfg, alg)
+		if (ferr == nil) != (oerr == nil) {
+			t.Errorf("BufDepth %d PacketFlits %d: fabric error %v, oracle error %v", cfg.BufDepth, cfg.PacketFlits, ferr, oerr)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 
 	"smart/internal/sim"
 	"smart/internal/topology"
@@ -143,6 +144,10 @@ func laneCounts(kind topology.PortKind, cfg wormhole.Config) (inN, outN int) {
 func New(top topology.Topology, cfg wormhole.Config, alg wormhole.RoutingAlgorithm) (*Sim, error) {
 	if cfg.VCs < 1 || cfg.BufDepth < 1 || cfg.PacketFlits < 1 || cfg.InjLanes < 1 {
 		return nil, fmt.Errorf("oracle: invalid config %+v", cfg)
+	}
+	if cfg.BufDepth > math.MaxInt16 || cfg.PacketFlits > math.MaxInt16 {
+		// Flit.Seq is an int16, and the fabric's lane counters are 16-bit.
+		return nil, fmt.Errorf("oracle: BufDepth and PacketFlits must not exceed %d in %+v", math.MaxInt16, cfg)
 	}
 	if cfg.StoreAndForward && cfg.BufDepth < cfg.PacketFlits {
 		return nil, fmt.Errorf("oracle: store-and-forward needs BufDepth >= PacketFlits (%d < %d)", cfg.BufDepth, cfg.PacketFlits)
@@ -423,11 +428,11 @@ func (s *Sim) pushIn(r, p, l int, fl wormhole.Flit) {
 // asserting exactly-once in-order delivery.
 func (s *Sim) deliver(fl wormhole.Flit, cycle int64) {
 	pk := &s.packets[fl.Packet]
-	if fl.Seq != s.deliverNext[fl.Packet] {
+	if int32(fl.Seq) != s.deliverNext[fl.Packet] {
 		panic(fmt.Sprintf("oracle: packet %d delivered flit %d out of order (expected %d)", fl.Packet, fl.Seq, s.deliverNext[fl.Packet]))
 	}
 	s.deliverNext[fl.Packet]++
-	if fl.Kind.IsTail() && fl.Seq != pk.Flits-1 {
+	if fl.Kind.IsTail() && int32(fl.Seq) != pk.Flits-1 {
 		panic(fmt.Sprintf("oracle: packet %d tail at sequence %d, want %d", fl.Packet, fl.Seq, pk.Flits-1))
 	}
 	if fl.Kind.IsHead() {
@@ -608,7 +613,7 @@ func (s *Sim) injectNIC(n int, cycle int64) {
 			kind |= wormhole.FlitTail
 		}
 		s.pushIn(at.Router, at.Port, l, wormhole.Flit{
-			Packet: st.cur, Seq: st.nextSeq, MovedAt: cycle, Kind: kind,
+			Packet: st.cur, Seq: int16(st.nextSeq), MovedAt: cycle, Kind: kind,
 		})
 		st.credit--
 		s.counters.FlitsInjected++

@@ -248,6 +248,25 @@ func TestRunRejectedConfig(t *testing.T) {
 	}
 }
 
+// TestRunRejectsPacketPastSeqBound posts a packet one flit longer than
+// a flit sequence number can count: 65536 bytes is 32768 two-byte tree
+// flits. The fabric refuses it at assembly (422) instead of wrapping the
+// sequence, and the store stays empty.
+func TestRunRejectsPacketPastSeqBound(t *testing.T) {
+	svc, url := newTestService(t, nil)
+	cfg := `{"Network":"tree","Algorithm":"adaptive","VCs":2,"K":2,"N":2,"Pattern":"uniform","Load":0.1,"Seed":3,"Warmup":10,"Horizon":20,"PacketBytes":65536}`
+	resp, body := post(t, url+"/v1/run", cfg, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte("PacketFlits")) {
+		t.Errorf("body does not name the PacketFlits bound: %s", body)
+	}
+	if svc.store.Len() != 0 {
+		t.Errorf("rejected config left %d store records", svc.store.Len())
+	}
+}
+
 func TestSweepConformance(t *testing.T) {
 	execs := &atomic.Int64{}
 	_, url := newTestService(t, fakeRun(execs))

@@ -2,6 +2,7 @@ package wormhole
 
 import (
 	"fmt"
+	"math"
 
 	"smart/internal/sim"
 	"smart/internal/topology"
@@ -49,15 +50,24 @@ type Config struct {
 	LinkCycles int
 }
 
+// Bounds of the narrowed lane-state fields. A lane's ring counters are
+// uint16 and its credit counters int16, so BufDepth must fit the
+// narrower of the two. Flit.Seq and nicLane.nextSeq are int16, and
+// nextSeq steps one past the tail, so PacketFlits must fit an int16 too.
+const (
+	maxBufDepth    = math.MaxInt16
+	maxPacketFlits = math.MaxInt16
+)
+
 func (c Config) validate() error {
 	if c.VCs < 1 || c.VCs >= packRadix {
 		return fmt.Errorf("wormhole: VCs must be in [1,%d), got %d", packRadix, c.VCs)
 	}
-	if c.BufDepth < 1 {
-		return fmt.Errorf("wormhole: BufDepth must be positive, got %d", c.BufDepth)
+	if c.BufDepth < 1 || c.BufDepth > maxBufDepth {
+		return fmt.Errorf("wormhole: BufDepth must be in [1,%d], got %d", maxBufDepth, c.BufDepth)
 	}
-	if c.PacketFlits < 1 {
-		return fmt.Errorf("wormhole: PacketFlits must be positive, got %d", c.PacketFlits)
+	if c.PacketFlits < 1 || c.PacketFlits > maxPacketFlits {
+		return fmt.Errorf("wormhole: PacketFlits must be in [1,%d], got %d", maxPacketFlits, c.PacketFlits)
 	}
 	if c.InjLanes < 1 || c.InjLanes >= packRadix {
 		return fmt.Errorf("wormhole: InjLanes must be in [1,%d), got %d", packRadix, c.InjLanes)
@@ -81,7 +91,7 @@ func (c Config) validate() error {
 //smartlint:shardowned
 type nicLane struct {
 	cur     PacketID
-	nextSeq int32
+	nextSeq int16
 	credit  int16
 }
 
@@ -195,6 +205,12 @@ type Fabric struct {
 	out    []outLane
 	inOff  []int32
 	outOff []int32
+	// arena holds every lane's flit buffer: BufDepth consecutive slots
+	// per lane, addressed by the lane's fifo.off. A slot belongs to the
+	// shard owning its lane.
+	//
+	//smartlint:shardindexed
+	arena []Flit
 
 	// Round-robin arbitration pointers: routeRR indexes a router's
 	// input-lane scan range, linkRR a port's output lanes. Global arrays
@@ -344,13 +360,17 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 	f.outOff[nPorts] = outTotal
 
 	// Second pass: the lanes themselves, their buffers carved out of one
-	// contiguous flit arena.
-	arena := make([]Flit, (int(inTotal)+int(outTotal))*cfg.BufDepth)
-	next := 0
-	takeBuf := func() []Flit {
-		b := arena[next : next+cfg.BufDepth : next+cfg.BufDepth]
-		next += cfg.BufDepth
-		return b
+	// contiguous flit arena addressed by int32 offsets.
+	slots := (int64(inTotal) + int64(outTotal)) * int64(cfg.BufDepth)
+	if slots > math.MaxInt32 {
+		return nil, fmt.Errorf("wormhole: %d lanes of depth %d exceed the flit arena's %d slots", inTotal+outTotal, cfg.BufDepth, math.MaxInt32)
+	}
+	f.arena = make([]Flit, slots)
+	var next int32
+	takeRing := func() fifo {
+		q := fifo{off: next, depth: uint16(cfg.BufDepth)}
+		next += int32(cfg.BufDepth)
+		return q
 	}
 	f.in = make([]inLane, inTotal)
 	f.out = make([]outLane, outTotal)
@@ -359,12 +379,12 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 			pid := r*deg + p
 			for l := f.inOff[pid]; l < f.inOff[pid+1]; l++ {
 				f.in[l] = inLane{
-					fifo: fifo{buf: takeBuf()}, bound: noRef,
+					fifo: takeRing(), bound: noRef,
 					router: int32(r), port: int16(p), lane: int16(l - f.inOff[pid]),
 				}
 			}
 			for l := f.outOff[pid]; l < f.outOff[pid+1]; l++ {
-				f.out[l] = outLane{fifo: fifo{buf: takeBuf()}, credits: int16(cfg.BufDepth), boundIn: noRef}
+				f.out[l] = outLane{fifo: takeRing(), credits: int16(cfg.BufDepth), boundIn: noRef}
 			}
 		}
 	}
@@ -544,7 +564,7 @@ func (f *Fabric) FreeLanes(r, port, lo, hi int) int {
 func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit) {
 	il := &f.in[id]
 	wasEmpty := il.n == 0
-	il.push(fl)
+	il.push(f.arena, fl)
 	if !wasEmpty {
 		return
 	}
@@ -607,7 +627,7 @@ func (f *Fabric) pushOut(sh *shardState, pid int32, ol *outLane, fl Flit) {
 			sh.linkActive.add(pid)
 		}
 	}
-	ol.push(fl)
+	ol.push(f.arena, fl)
 }
 
 // popOut removes the front flit of output lane ol of port pid,
@@ -615,7 +635,7 @@ func (f *Fabric) pushOut(sh *shardState, pid int32, ol *outLane, fl Flit) {
 //
 //smartlint:hotpath
 func (f *Fabric) popOut(sh *shardState, pid int32, ol *outLane) Flit {
-	fl := ol.pop()
+	fl := ol.pop(f.arena)
 	if ol.n == 0 {
 		f.portOcc[pid]--
 		if f.portOcc[pid] == 0 {
@@ -702,7 +722,7 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 				sh.creditStalls++
 				continue
 			}
-			fl := ol.front()
+			fl := ol.front(f.arena)
 			if fl.MovedAt >= cycle {
 				continue
 			}
@@ -728,7 +748,7 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 			if ol.n == 0 {
 				continue
 			}
-			fl := ol.front()
+			fl := ol.front(f.arena)
 			if fl.MovedAt >= cycle {
 				continue
 			}
@@ -786,11 +806,11 @@ func (f *Fabric) commitWireArrivals(sh *shardState, cycle int64) {
 //smartlint:hotpath
 func (f *Fabric) deliver(sh *shardState, fl Flit, cycle int64) {
 	pk := &f.Packets[fl.Packet]
-	if fl.Seq != pk.deliverNext {
+	if int32(fl.Seq) != pk.deliverNext {
 		panic(fmt.Sprintf("wormhole: packet %d delivered flit %d out of order (expected %d)", fl.Packet, fl.Seq, pk.deliverNext))
 	}
 	pk.deliverNext++
-	if fl.Kind.IsTail() && fl.Seq != pk.Flits-1 {
+	if fl.Kind.IsTail() && int32(fl.Seq) != pk.Flits-1 {
 		panic(fmt.Sprintf("wormhole: packet %d tail at sequence %d, want %d", fl.Packet, fl.Seq, pk.Flits-1))
 	}
 	if fl.Kind.IsHead() {
@@ -850,7 +870,7 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 	if il.n == 0 || il.bound == noRef {
 		return
 	}
-	fl := il.front()
+	fl := il.front(f.arena)
 	if fl.MovedAt >= cycle {
 		return
 	}
@@ -864,7 +884,7 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 	if ol.full() {
 		return
 	}
-	moved := il.pop()
+	moved := il.pop(f.arena)
 	moved.MovedAt = cycle
 	f.pushOut(sh, opid, ol, moved)
 	sh.progress++
@@ -916,7 +936,7 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 		if il.n == 0 || il.bound != noRef {
 			continue
 		}
-		fl := il.front()
+		fl := il.front(f.arena)
 		if fl.MovedAt >= cycle {
 			continue
 		}
@@ -924,7 +944,7 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 		if !fl.Kind.IsHead() {
 			panic(fmt.Sprintf("wormhole: unbound non-header flit at router %d port %d lane %d", r, p, l))
 		}
-		if f.Cfg.StoreAndForward && !il.holdsWholePacket(&f.Packets[fl.Packet]) {
+		if f.Cfg.StoreAndForward && !il.holdsWholePacket(f.arena, &f.Packets[fl.Packet]) {
 			continue
 		}
 		f.routeRR[r] = int32((idx + 1) % n)
@@ -1045,7 +1065,7 @@ func (f *Fabric) injectNIC(sh *shardState, n32 int32, cycle int64) {
 		if st.nextSeq == 0 {
 			kind |= FlitHead
 		}
-		if st.nextSeq == pk.Flits-1 {
+		if int32(st.nextSeq) == pk.Flits-1 {
 			kind |= FlitTail
 		}
 		f.pushIn(sh, nc.base+int32(l), Flit{
@@ -1173,10 +1193,10 @@ func (f *Fabric) CheckInvariants() error {
 						}
 					}
 				}
-				got := int(ol.credits) + remote.n + onWire + pending[laneRefAt{router: int32(r), ref: packRef(p, l)}]
+				got := int(ol.credits) + remote.len() + onWire + pending[laneRefAt{router: int32(r), ref: packRef(p, l)}]
 				if got != f.Cfg.BufDepth {
 					return fmt.Errorf("wormhole: credit conservation violated at router %d port %d lane %d: credits %d + remote %d + wire %d + pending = %d, want %d",
-						r, p, l, ol.credits, remote.n, onWire, got, f.Cfg.BufDepth)
+						r, p, l, ol.credits, remote.len(), onWire, got, f.Cfg.BufDepth)
 				}
 				if ol.boundIn != noRef {
 					ip, il := ol.boundIn.unpack()

@@ -81,6 +81,52 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigFieldBounds pins the limits of the narrowed lane state: the
+// largest BufDepth and PacketFlits the 16-bit ring, credit and sequence
+// counters hold build a fabric, and one more is refused instead of
+// silently wrapping.
+func TestConfigFieldBounds(t *testing.T) {
+	cube, _ := topology.NewCube(4, 1)
+	base := Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1}
+	cases := []struct {
+		name  string
+		edit  func(*Config)
+		field string // "" when the config is legal
+	}{
+		{"max BufDepth", func(c *Config) { c.BufDepth = maxBufDepth }, ""},
+		{"BufDepth past the bound", func(c *Config) { c.BufDepth = maxBufDepth + 1 }, "BufDepth"},
+		{"max PacketFlits", func(c *Config) { c.PacketFlits = maxPacketFlits }, ""},
+		{"PacketFlits past the bound", func(c *Config) { c.PacketFlits = maxPacketFlits + 1 }, "PacketFlits"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.edit(&cfg)
+		_, err := NewFabric(cube, cfg, &greedyRing{cube: cube, vcs: 1})
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field)):
+			t.Errorf("%s: error %v, want a %s bound error", tc.name, err, tc.field)
+		}
+	}
+}
+
+// TestArenaOffsetBound checks that a fabric whose lane buffers would
+// overflow the arena's int32 offsets is refused at construction: a
+// 16-ary 3-cube with 2 VCs has 110592 lanes, which at the largest legal
+// BufDepth need more than 2^31 slots.
+func TestArenaOffsetBound(t *testing.T) {
+	cube, err := topology.NewCube(16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{VCs: 2, BufDepth: maxBufDepth, PacketFlits: 4, InjLanes: 1}
+	_, err = NewFabric(cube, cfg, &greedyRing{cube: cube, vcs: 2})
+	if err == nil || !strings.Contains(err.Error(), "arena") {
+		t.Fatalf("oversized arena: error %v, want an arena bound error", err)
+	}
+}
+
 func TestNewFabricVCMismatch(t *testing.T) {
 	cube, _ := topology.NewCube(4, 1)
 	_, err := NewFabric(cube, Config{VCs: 2, BufDepth: 4, PacketFlits: 4, InjLanes: 1}, &greedyRing{cube: cube, vcs: 1})

@@ -42,11 +42,14 @@ func (k FlitKind) IsTail() bool { return k&FlitTail != 0 }
 // independently of stage execution order. A flit is held by exactly one
 // lane, wire or mailbox at a time, so the shard holding it owns it.
 //
+// Fields are ordered widest first so the struct packs into 16 bytes;
+// Config.validate bounds PacketFlits so Seq cannot wrap.
+//
 //smartlint:shardowned
 type Flit struct {
-	Packet  PacketID
-	Seq     int32
 	MovedAt int64
+	Packet  PacketID
+	Seq     int16
 	Kind    FlitKind
 }
 

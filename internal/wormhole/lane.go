@@ -1,47 +1,68 @@
 package wormhole
 
 // fifo is a fixed-capacity ring buffer of flits — the buffer space of one
-// virtual-channel lane (4 flits in the paper's experiments). Buffers are
-// carved from the fabric's flit arena at construction; the per-cycle
-// operations below never allocate.
+// virtual-channel lane (4 flits in the paper's experiments). The flits
+// live in the fabric's arena (Fabric.arena); the fifo keeps only its
+// first arena slot and three ring counters, so a lane's bookkeeping is a
+// fraction of a cache line. The ring operations take the arena and never
+// allocate. Config.validate bounds BufDepth so the uint16 counters cannot
+// wrap.
 //
 //smartlint:shardowned
 type fifo struct {
-	buf  []Flit
-	head int
-	n    int
+	off   int32  // arena index of the ring's first slot
+	head  uint16 // ring index of the oldest flit
+	n     uint16 // buffered flits
+	depth uint16 // ring capacity
 }
 
-func newFifo(depth int) fifo { return fifo{buf: make([]Flit, depth)} }
-
-func (f *fifo) cap() int   { return len(f.buf) }
-func (f *fifo) len() int   { return f.n }
-func (f *fifo) full() bool { return f.n == len(f.buf) }
+func (q *fifo) cap() int   { return int(q.depth) }
+func (q *fifo) len() int   { return int(q.n) }
+func (q *fifo) full() bool { return q.n == q.depth }
 
 // front returns a pointer to the oldest flit; it must not be called on an
 // empty fifo.
 //
 //smartlint:hotpath
-func (f *fifo) front() *Flit { return &f.buf[f.head] }
+func (q *fifo) front(a []Flit) *Flit { return &a[q.off+int32(q.head)] }
 
 //smartlint:hotpath
-func (f *fifo) push(fl Flit) {
-	if f.full() {
+func (q *fifo) push(a []Flit, fl Flit) {
+	if q.full() {
 		panic("wormhole: push into full lane buffer")
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = fl
-	f.n++
+	i := int(q.head) + int(q.n)
+	if i >= int(q.depth) {
+		i -= int(q.depth)
+	}
+	a[int(q.off)+i] = fl
+	q.n++
 }
 
 //smartlint:hotpath
-func (f *fifo) pop() Flit {
-	if f.n == 0 {
+func (q *fifo) pop(a []Flit) Flit {
+	if q.n == 0 {
 		panic("wormhole: pop from empty lane buffer")
 	}
-	fl := f.buf[f.head]
-	f.head = (f.head + 1) % len(f.buf)
-	f.n--
+	fl := a[q.off+int32(q.head)]
+	q.head++
+	if q.head == q.depth {
+		q.head = 0
+	}
+	q.n--
 	return fl
+}
+
+// at returns the i-th buffered flit counted from the front.
+func (q *fifo) at(a []Flit, i int) *Flit {
+	if i < 0 || i >= int(q.n) {
+		panic("wormhole: fifo index out of range")
+	}
+	i += int(q.head)
+	if i >= int(q.depth) {
+		i -= int(q.depth)
+	}
+	return &a[int(q.off)+i]
 }
 
 // inLane is the input buffer of one virtual channel: flits arriving from
@@ -61,22 +82,14 @@ type inLane struct {
 	lane   int16
 }
 
-// at returns the i-th buffered flit counted from the front.
-func (f *fifo) at(i int) *Flit {
-	if i < 0 || i >= f.n {
-		panic("wormhole: fifo index out of range")
-	}
-	return &f.buf[(f.head+i)%len(f.buf)]
-}
-
 // holdsWholePacket reports whether the lane buffers every flit of the
 // packet whose header sits at the front — the store-and-forward gate.
-func (l *inLane) holdsWholePacket(pk *PacketInfo) bool {
-	if l.n < int(pk.Flits) {
+func (l *inLane) holdsWholePacket(a []Flit, pk *PacketInfo) bool {
+	if l.len() < int(pk.Flits) {
 		return false
 	}
-	tail := l.at(int(pk.Flits) - 1)
-	return tail.Kind.IsTail() && tail.Packet == l.front().Packet
+	tail := l.at(a, int(pk.Flits)-1)
+	return tail.Kind.IsTail() && tail.Packet == l.front(a).Packet
 }
 
 // outLane is the output buffer of one virtual channel. credits counts the

@@ -154,13 +154,13 @@ type Gauges struct {
 func (f *Fabric) ReadGauges() Gauges {
 	var g Gauges
 	for i := range f.in {
-		if n := f.in[i].n; n > 0 {
+		if n := f.in[i].len(); n > 0 {
 			g.OccupiedLanes++
 			g.BufferedFlits += n
 		}
 	}
 	for i := range f.out {
-		if n := f.out[i].n; n > 0 {
+		if n := f.out[i].len(); n > 0 {
 			g.OccupiedLanes++
 			g.BufferedFlits += n
 		}
@@ -196,10 +196,10 @@ func (f *Fabric) Observe() CycleObs {
 			if il.bound != noRef {
 				bp, bl = il.bound.unpack()
 			}
-			d.InLane(il.n, bp, bl, func(i int) Flit { return *il.at(i) })
+			d.InLane(il.len(), bp, bl, func(i int) Flit { return *il.at(f.arena, i) })
 			if il.n > 0 {
 				obs.OccupiedLanes++
-				obs.BufferedFlits += il.n
+				obs.BufferedFlits += il.len()
 			}
 		}
 		outLanes := f.outLanesOf(pid)
@@ -209,10 +209,10 @@ func (f *Fabric) Observe() CycleObs {
 			if ol.boundIn != noRef {
 				bp, bl = ol.boundIn.unpack()
 			}
-			d.OutLane(ol.n, int(ol.credits), bp, bl, func(i int) Flit { return *ol.at(i) })
+			d.OutLane(ol.len(), int(ol.credits), bp, bl, func(i int) Flit { return *ol.at(f.arena, i) })
 			if ol.n > 0 {
 				obs.OccupiedLanes++
-				obs.BufferedFlits += ol.n
+				obs.BufferedFlits += ol.len()
 			}
 		}
 	}
@@ -230,7 +230,7 @@ func (f *Fabric) Observe() CycleObs {
 		}
 		for l := range nc.lanes {
 			st := &nc.lanes[l]
-			d.NICLane(st.cur, st.nextSeq, int(st.credit))
+			d.NICLane(st.cur, int32(st.nextSeq), int(st.credit))
 		}
 	}
 	if f.wires != nil {

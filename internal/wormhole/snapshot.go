@@ -159,10 +159,10 @@ func (f *Fabric) snapshot() *StallSnapshot {
 			}
 			s.recordLane(LaneState{
 				Router: r, Port: p, Lane: l, Dir: "in",
-				Flits: il.n, Depth: il.cap(), Credits: -1, Bound: il.bound != noRef,
+				Flits: il.len(), Depth: il.cap(), Credits: -1, Bound: il.bound != noRef,
 			})
-			for i := 0; i < il.n; i++ {
-				fl := il.at(i)
+			for i := 0; i < il.len(); i++ {
+				fl := il.at(f.arena, i)
 				if !fl.Kind.IsHead() {
 					continue
 				}
@@ -181,7 +181,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 					Packet: fl.Packet, Src: int(pk.Src), Dst: int(pk.Dst), Hops: int(pk.Hops),
 					Routed:   i == 0 && il.bound != noRef,
 					AtFault:  atFault,
-					FrontAge: f.cycle - il.front().MovedAt,
+					FrontAge: f.cycle - il.front(f.arena).MovedAt,
 				})
 				break // one header per lane is enough to seed the diagnosis
 			}
@@ -194,10 +194,10 @@ func (f *Fabric) snapshot() *StallSnapshot {
 			}
 			s.recordLane(LaneState{
 				Router: r, Port: p, Lane: l, Dir: "out",
-				Flits: ol.n, Depth: ol.cap(), Credits: int(ol.credits), Bound: ol.boundIn != noRef,
+				Flits: ol.len(), Depth: ol.cap(), Credits: int(ol.credits), Bound: ol.boundIn != noRef,
 			})
-			for i := 0; i < ol.n; i++ {
-				fl := ol.at(i)
+			for i := 0; i < ol.len(); i++ {
+				fl := ol.at(f.arena, i)
 				if !fl.Kind.IsHead() {
 					continue
 				}
@@ -211,7 +211,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 					Packet: fl.Packet, Src: int(pk.Src), Dst: int(pk.Dst), Hops: int(pk.Hops),
 					Routed:   true,
 					AtFault:  atFault,
-					FrontAge: f.cycle - ol.front().MovedAt,
+					FrontAge: f.cycle - ol.front(f.arena).MovedAt,
 				})
 				break
 			}

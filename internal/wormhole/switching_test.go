@@ -93,32 +93,53 @@ func TestRouteEveryValidation(t *testing.T) {
 }
 
 func TestFifoAt(t *testing.T) {
-	f := newFifo(3)
-	f.push(Flit{Seq: 0})
-	f.push(Flit{Seq: 1})
-	f.pop()
-	f.push(Flit{Seq: 2}) // wraps the ring
-	if f.at(0).Seq != 1 || f.at(1).Seq != 2 {
-		t.Fatalf("at() wrong across wrap: %d %d", f.at(0).Seq, f.at(1).Seq)
+	f, a := newFifo(3)
+	f.push(a, Flit{Seq: 1})
+	f.push(a, Flit{Seq: 2})
+	f.pop(a)
+	f.push(a, Flit{Seq: 3})
+	f.push(a, Flit{Seq: 4}) // wraps the ring
+	if f.at(a, 0).Seq != 2 || f.at(a, 1).Seq != 3 || f.at(a, 2).Seq != 4 {
+		t.Fatalf("at() wrong across wrap: %d %d %d", f.at(a, 0).Seq, f.at(a, 1).Seq, f.at(a, 2).Seq)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range at() did not panic")
-		}
-	}()
-	f.at(2)
+	checkGuards(t, &f, a)
+	for _, i := range []int{-1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("out-of-range at(%d) did not panic", i)
+				}
+			}()
+			f.at(a, i)
+		}()
+	}
 }
 
 func TestHoldsWholePacket(t *testing.T) {
-	l := inLane{fifo: newFifo(4), bound: noRef}
+	q, a := newFifo(4)
+	l := inLane{fifo: q, bound: noRef}
 	pk := PacketInfo{Flits: 3}
-	l.push(Flit{Packet: 1, Seq: 0, Kind: FlitHead})
-	if l.holdsWholePacket(&pk) {
+	l.push(a, Flit{Packet: 1, Seq: 0, Kind: FlitHead})
+	if l.holdsWholePacket(a, &pk) {
 		t.Fatal("partial packet reported whole")
 	}
-	l.push(Flit{Packet: 1, Seq: 1})
-	l.push(Flit{Packet: 1, Seq: 2, Kind: FlitTail})
-	if !l.holdsWholePacket(&pk) {
+	l.push(a, Flit{Packet: 1, Seq: 1})
+	l.push(a, Flit{Packet: 1, Seq: 2, Kind: FlitTail})
+	if !l.holdsWholePacket(a, &pk) {
 		t.Fatal("complete packet not recognized")
 	}
+	// The same packet straddling the ring's wrap point.
+	l.pop(a)
+	l.pop(a)
+	l.pop(a)
+	l.push(a, Flit{Packet: 2, Seq: 0, Kind: FlitHead})
+	l.push(a, Flit{Packet: 2, Seq: 1})
+	if l.holdsWholePacket(a, &pk) {
+		t.Fatal("partial wrapped packet reported whole")
+	}
+	l.push(a, Flit{Packet: 2, Seq: 2, Kind: FlitTail})
+	if !l.holdsWholePacket(a, &pk) {
+		t.Fatal("complete wrapped packet not recognized")
+	}
+	checkGuards(t, &l.fifo, a)
 }
