@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-shardsafe test race cover fuzz bench bench-fabric bench-serve shard-smoke resume-smoke telemetry-smoke fault-smoke serve-smoke profile experiments quick clean
+.PHONY: all build vet lint lint-shardsafe test race cover fuzz bench bench-fabric bench-serve shard-smoke resume-smoke telemetry-smoke fault-smoke serve-smoke experiments-smoke profile experiments quick clean
 
 all: build lint test
 
@@ -96,6 +96,12 @@ fault-smoke:
 # cache persistence across a restart. See DESIGN.md §15.
 serve-smoke:
 	bash scripts/serve_smoke.sh
+
+# Report pin: the quick reproduction with every study must print
+# experiments_quick.txt again, apart from its total wall time line
+# (a few minutes on two cores).
+experiments-smoke:
+	bash scripts/experiments_smoke.sh
 
 # Closed-loop HTTP load test against an in-process sweep service;
 # rewrites the committed benchmark record. The warm (all-hits) phase

@@ -52,7 +52,7 @@ func main() {
 		cfg.Pattern = *pattern
 		cfg.Seed = *seed
 		cfg.Warmup, cfg.Horizon = warmup, horizon
-		swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
+		swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), core.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "compare:", err)
 			os.Exit(1)

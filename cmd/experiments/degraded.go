@@ -2,12 +2,8 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"smart/internal/core"
-	"smart/internal/results"
 )
 
 // degradedScenarios are the overlays the degraded-operation study
@@ -26,50 +22,42 @@ var degradedScenarios = []struct {
 	{"faulted+bursty", "rand-links:6@1000", "mmpp:200:600:2.5"},
 }
 
-// runDegraded sweeps the fault-tolerant configurations — the Duato
+// degradedStudy sweeps the fault-tolerant configurations — the Duato
 // torus and the adaptive fat-tree — under each degraded scenario and
 // reports the saturation shift. These are the numbers behind README's
 // degraded-saturation table. Deterministic (dimension-order) cube
 // routing is excluded on purpose: it is fault-oblivious by design and
 // wedges at the first cut link on its path; the watchdog names the
 // blocked header instead (see the seeded-fault regression test).
-func runDegraded(loads []float64, warmup, horizon int64, seed uint64, csvDir string, opts core.Options, elapsed func() time.Duration) {
+func degradedStudy(seed uint64, warmup, horizon int64) study {
 	configs := []core.Config{
 		{Network: core.NetworkCube, K: 8, N: 2, Algorithm: core.AlgDuato, VCs: 4},
 		{Network: core.NetworkTree, K: 4, N: 4, Algorithm: core.AlgAdaptive, VCs: 4},
 	}
-	fmt.Println("== Degraded operation: saturation under faults and bursty injection ==")
-	fmt.Println()
-	headers := []string{"configuration", "scenario", "saturation", "bits/ns at saturation", "pre-sat latency ns"}
-	var rows [][]string
-	for _, base := range configs {
+	var cases []studyCase
+	for _, cfg := range configs {
 		for _, sc := range degradedScenarios {
-			cfg := base
 			cfg.Pattern = "uniform"
 			cfg.Seed = seed
 			cfg.Warmup, cfg.Horizon = warmup, horizon
 			cfg.Faults, cfg.Burst = sc.faults, sc.burst
-			o := opts
-			o.Batch = "degraded/" + cfg.Label() + "/" + sc.label
-			swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), o)
-			if err != nil {
-				fatal(err)
-			}
-			row := results.Summarize(sc.label, swept, 0.02)
-			sat := fmt.Sprintf("%.2f", row.SaturationFrac)
-			if !row.Saturated {
-				sat = ">" + sat
-			}
-			rows = append(rows, []string{
-				swept[0].Config.Label(), sc.label, sat,
-				fmt.Sprintf("%.0f", row.SaturationBitsNS),
-				fmt.Sprintf("%.0f", row.PreSatLatencyNS),
-			})
-			fmt.Fprintf(os.Stderr, "degraded %-22s %-14s (%s elapsed)\n",
-				swept[0].Config.Label(), sc.label, elapsed().Round(time.Second))
+			cases = append(cases, studyCase{label: sc.label, batch: "degraded/" + cfg.Label() + "/" + sc.label, cfg: cfg})
 		}
 	}
-	fmt.Print(results.FormatTable(headers, rows))
-	writeCSV(csvDir, "degraded-saturation.csv", headers, rows)
-	fmt.Println()
+	return study{
+		title: "Degraded operation: saturation under faults and bursty injection",
+		cases: cases,
+		tables: []table{{
+			headers: []string{"configuration", "scenario", "saturation", "bits/ns at saturation", "pre-sat latency ns"},
+			row: func(c studyCase, swept []core.Result) []string {
+				sat, row := saturation(swept)
+				return []string{
+					c.cfg.Label(), c.label, sat,
+					fmt.Sprintf("%.0f", row.SaturationBitsNS),
+					fmt.Sprintf("%.0f", row.PreSatLatencyNS),
+				}
+			},
+			csv: "degraded-saturation.csv",
+		}},
+	}
 }

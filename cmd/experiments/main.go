@@ -12,11 +12,15 @@
 // Output is a self-contained text report on stdout (tee it to a file);
 // -csvdir additionally dumps every series as CSV for plotting.
 //
-// The grid takes the shared observability, telemetry and resilience
-// flags of internal/cli. -checkpoint keeps every completed run in a
-// result store directory as it finishes; after a kill or a failure,
-// rerunning with -checkpoint and -resume replays the stored runs and
-// simulates only the rest:
+// Every study the flags ask for — the figures, -degraded and
+// -ablations — is declared as data, and all their runs go through one
+// grid under the shared observability, telemetry and resilience flags of
+// internal/cli, so -checkpoint/-resume, -manifest, -shards, -selfcheck
+// and -v cover the whole report. The report is printed once the grid
+// has finished. -checkpoint keeps every completed run in a result store
+// directory as it finishes; after a kill or a failure, rerunning with
+// -checkpoint and -resume replays the stored runs and simulates only the
+// rest:
 //
 //	experiments -checkpoint grid.ckpt | tee report.txt
 //	experiments -checkpoint grid.ckpt -resume | tee report.txt
@@ -26,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -59,8 +62,8 @@ func main() {
 	quick := flag.Bool("quick", false, "coarse grid and short horizon (preview quality)")
 	ablate := flag.Bool("ablations", false, "also run the extension/ablation studies")
 	degraded := flag.Bool("degraded", false, "also run the degraded-operation study (clean vs faulted vs bursty saturation)")
-	faultsFlag := flag.String("faults", "", "fault schedule applied to every grid run (spec or smart/faults/v1 JSONL file); deterministic cube routing is fault-oblivious and may wedge — pair with -watchdog")
-	burst := flag.String("burst", "", "bursty injection applied to every grid run (mmpp:<dwellOn>:<dwellOff>:<peak>)")
+	faultsFlag := flag.String("faults", "", "fault schedule applied to every run of the paper figures (spec or smart/faults/v1 JSONL file); deterministic cube routing is fault-oblivious and may wedge — pair with -watchdog")
+	burst := flag.String("burst", "", "bursty injection applied to every run of the paper figures (mmpp:<dwellOn>:<dwellOff>:<peak>)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	csvDir := flag.String("csvdir", "", "write every series as CSV files into this directory")
 	flag.StringVar(&flags.Manifest, "manifest", "", "append one JSONL run record per simulation to this file")
@@ -77,13 +80,20 @@ func main() {
 	for l := step; l <= 1.0001; l += step {
 		loads = append(loads, l)
 	}
-	configs := core.PaperConfigs()
 	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
 	if err == nil {
 		err = traffic.CheckBurst(*burst)
 	}
+	var runs []core.GridRun
+	studies := paperStudies(*seed, warmup, horizon, flags.Watchdog, faultsSpec, *burst)
+	if *degraded {
+		studies = append(studies, degradedStudy(*seed, warmup, horizon))
+	}
+	if *ablate {
+		studies = append(studies, ablationStudies(*seed, warmup, horizon)...)
+	}
 	if err == nil {
-		sess, err = flags.Open("experiments", len(patterns)*len(configs)*len(loads), 5*time.Second)
+		runs, sess, err = openGrid(flags, studies, loads)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -120,115 +130,16 @@ func main() {
 	fmt.Print(results.FormatTimings(cost.Table2()))
 	fmt.Println()
 
-	// ---- Figures 5, 6, 7 ----
-	type sweepKey struct{ pattern, label string }
-	sweeps := map[sweepKey][]core.Result{}
-	labels := make([]string, len(configs))
-	for _, pattern := range patterns {
-		for i, cfg := range configs {
-			cfg.Pattern = pattern
-			cfg.Seed = *seed
-			cfg.Warmup, cfg.Horizon = warmup, horizon
-			cfg.WatchdogCycles = flags.Watchdog
-			cfg.Faults, cfg.Burst = faultsSpec, *burst
-			o := sess.Options
-			o.Batch = cfg.Label() + "/" + pattern
-			swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), o)
-			if err != nil {
-				fatal(err)
-			}
-			labels[i] = swept[0].Config.Label()
-			sweeps[sweepKey{pattern, labels[i]}] = swept
-			fmt.Fprintf(os.Stderr, "swept %-22s %-11s (%s elapsed)\n", labels[i], pattern, elapsed().Round(time.Second))
-		}
+	res, err := core.RunGrid(runs, runtime.GOMAXPROCS(0), sess.Options)
+	if err != nil {
+		fatal(err)
 	}
 	sess.Options.Progress.Stop()
-
-	figure := func(title, figure string, selected []string, pattern string) {
-		fmt.Printf("== %s (%s, %s traffic) ==\n\n", title, figure, pattern)
-		sel := make([][]core.Result, len(selected))
-		for i, label := range selected {
-			sel[i] = sweeps[sweepKey{pattern, label}]
-		}
-		h, r, err := results.MultiSeries(selected, sel, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
+	sweeps := sweepsByBatch(runs, res)
+	for _, s := range studies {
+		if err := s.render(os.Stdout, sweeps, *csvDir); err != nil {
 			fatal(err)
 		}
-		fmt.Println("accepted bandwidth (fraction of capacity):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("%s-%s-accepted.csv", figure, pattern), h, r)
-		h, r, err = results.MultiSeries(selected, sel, func(res core.Result) float64 { return res.Sample.AvgLatency }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("network latency (cycles):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("%s-%s-latency.csv", figure, pattern), h, r)
-		fmt.Println()
-	}
-
-	treeLabels := labels[2:]
-	cubeLabels := labels[:2]
-	for _, p := range patterns {
-		figure("4-ary 4-tree with 1, 2 and 4 virtual channels", "fig5", treeLabels, p)
-	}
-	for _, p := range patterns {
-		figure("16-ary 2-cube, deterministic vs minimal adaptive", "fig6", cubeLabels, p)
-	}
-	for _, p := range patterns {
-		fmt.Printf("== Normalized absolute comparison (fig7, %s traffic) ==\n\n", p)
-		sel := make([][]core.Result, len(labels))
-		for i, label := range labels {
-			sel[i] = sweeps[sweepKey{p, label}]
-		}
-		h, r, err := results.MultiSeries(labels, sel, func(res core.Result) float64 { return res.AcceptedBitsNS }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted traffic (bits/ns):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("fig7-%s-throughput.csv", p), h, r)
-		h, r, err = results.MultiSeries(labels, sel, func(res core.Result) float64 { return res.LatencyNS }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("network latency (ns):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("fig7-%s-latency.csv", p), h, r)
-		fmt.Println()
-	}
-
-	// ---- Scorecard ----
-	fmt.Println("== Scorecard: saturation points, paper vs measured (fraction of capacity) ==")
-	fmt.Println()
-	headers := []string{"pattern", "configuration", "paper", "measured", "measured bits/ns"}
-	var rows [][]string
-	for _, p := range patterns {
-		for _, label := range labels {
-			swept := sweeps[sweepKey{p, label}]
-			row := results.Summarize(label, swept, 0.02)
-			measured := fmt.Sprintf("%.2f", row.SaturationFrac)
-			if !row.Saturated {
-				measured = ">" + measured
-			}
-			rows = append(rows, []string{
-				p, label,
-				fmt.Sprintf("%.2f", paperSaturation[p][label]),
-				measured,
-				fmt.Sprintf("%.0f", row.SaturationBitsNS),
-			})
-		}
-	}
-	fmt.Print(results.FormatTable(headers, rows))
-	writeCSV(*csvDir, "scorecard.csv", headers, rows)
-	fmt.Println()
-
-	if *degraded {
-		runDegraded(loads, warmup, horizon, *seed, *csvDir, sess.Options, elapsed)
-	}
-
-	if *ablate {
-		runAblations(loads, warmup, horizon, *seed, *csvDir)
 	}
 
 	if err := sess.Close(nil); err != nil {
@@ -237,18 +148,69 @@ func main() {
 	fmt.Printf("total wall time %s\n", elapsed().Round(time.Second))
 }
 
-func writeCSV(dir, name string, headers []string, rows [][]string) {
-	if dir == "" {
-		return
+// paperStudies declares Figures 5, 6 and 7 and the saturation scorecard
+// over the paper's 20 sweeps (4 patterns x 5 configurations). The
+// figures share those sweeps, so each runs once; -faults and -burst
+// apply to them alone.
+func paperStudies(seed uint64, warmup, horizon, watchdog int64, faultsSpec, burst string) []study {
+	byPattern := map[string][]studyCase{}
+	var all []studyCase
+	for _, pattern := range patterns {
+		for _, cfg := range core.PaperConfigs() {
+			cfg.Pattern = pattern
+			cfg.Seed = seed
+			cfg.Warmup, cfg.Horizon = warmup, horizon
+			cfg.WatchdogCycles = watchdog
+			cfg.Faults, cfg.Burst = faultsSpec, burst
+			c := studyCase{label: cfg.Label(), batch: cfg.Label() + "/" + pattern, cfg: cfg}
+			byPattern[pattern] = append(byPattern[pattern], c)
+			all = append(all, c)
+		}
 	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
+	var studies []study
+	figure := func(title, fig, pattern string, cases []studyCase) study {
+		return study{
+			title: fmt.Sprintf("%s (%s, %s traffic)", title, fig, pattern),
+			cases: cases,
+			tables: []table{
+				{caption: "accepted bandwidth (fraction of capacity)", metric: accepted, csv: fig + "-" + pattern + "-accepted.csv"},
+				{caption: "network latency (cycles)", metric: latency, csv: fig + "-" + pattern + "-latency.csv"},
+			},
+		}
 	}
-	defer f.Close()
-	if err := results.WriteCSV(f, headers, rows); err != nil {
-		fatal(err)
+	for _, p := range patterns {
+		studies = append(studies, figure("4-ary 4-tree with 1, 2 and 4 virtual channels", "fig5", p, byPattern[p][2:]))
 	}
+	for _, p := range patterns {
+		studies = append(studies, figure("16-ary 2-cube, deterministic vs minimal adaptive", "fig6", p, byPattern[p][:2]))
+	}
+	for _, p := range patterns {
+		studies = append(studies, study{
+			title: fmt.Sprintf("Normalized absolute comparison (fig7, %s traffic)", p),
+			cases: byPattern[p],
+			tables: []table{
+				{caption: "accepted traffic (bits/ns)", metric: bitsNS, csv: "fig7-" + p + "-throughput.csv"},
+				{caption: "network latency (ns)", metric: latencyNS, csv: "fig7-" + p + "-latency.csv"},
+			},
+		})
+	}
+	return append(studies, study{
+		title: "Scorecard: saturation points, paper vs measured (fraction of capacity)",
+		cases: all,
+		tables: []table{{
+			headers: []string{"pattern", "configuration", "paper", "measured", "measured bits/ns"},
+			row: func(c studyCase, swept []core.Result) []string {
+				sat, row := saturation(swept)
+				return []string{
+					c.cfg.Pattern, c.label,
+					fmt.Sprintf("%.2f", paperSaturation[c.cfg.Pattern][c.label]),
+					sat,
+					fmt.Sprintf("%.0f", row.SaturationBitsNS),
+				}
+			},
+			csv: "scorecard.csv",
+		}},
+	})
 }
 
 func fatal(err error) {

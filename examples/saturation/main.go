@@ -6,10 +6,9 @@
 // the accepted bandwidth falls below the packet creation rate (§6). A
 // full sweep (cmd/sweep) maps the whole curve; when only the saturation
 // point is wanted, bisection over the offered load finds it in a handful
-// of simulations. This example spells the bisection out for clarity —
-// the library version is core.FindSaturation — and compares the two cube
-// routing algorithms under uniform traffic, reproducing the paper's 60%
-// vs 80% headline with a fraction of the work.
+// of simulations. This example spells the bisection out and compares
+// the two cube routing algorithms under uniform traffic, reproducing the
+// paper's 60% vs 80% headline with a fraction of the work.
 package main
 
 import (

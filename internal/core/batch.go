@@ -44,31 +44,16 @@ func DecodeBatch(r io.Reader) (Batch, error) {
 	return b, nil
 }
 
-// Run executes every configuration of the batch, in parallel across
-// workers, and returns results in config order. RunWith is the same
-// under observers.
-func (b Batch) Run(workers int) ([]Result, error) {
-	return b.RunWith(workers, Options{})
-}
-
-// RunWith executes the batch under observers. A failing configuration
-// no longer aborts the grid: every config runs (panics included — they
-// are isolated to their own slot), each failure's error carries the
-// batch name, the config's index and fingerprint, and how many runs
-// completed, the same context is emitted as a structured event and a
-// manifest failure record, and all failures come back joined alongside
-// the results that did complete (failed slots hold zero Results).
+// RunWith executes every configuration of the batch under observers,
+// in parallel across workers, and returns results in config order. It
+// is RunGrid with every run stamped with the batch name and its
+// config's index.
 func (b Batch) RunWith(workers int, opts Options) ([]Result, error) {
-	opts.Batch = b.Name
-	results, errs := runAll(opts.Context, len(b.Configs), workers, func(i int) (Result, error) {
-		o := opts
-		o.Index = i
-		return RunWith(b.Configs[i], o)
-	})
-	err := finishGrid(opts, errs, "batch config failed", func(i int) (Config, string) {
-		return b.Configs[i], fmt.Sprintf("core: batch %q config %d", b.Name, i)
-	})
-	return results, err
+	runs := make([]GridRun, len(b.Configs))
+	for i, cfg := range b.Configs {
+		runs[i] = GridRun{Config: cfg, Batch: b.Name, Index: i}
+	}
+	return RunGrid(runs, workers, opts)
 }
 
 // EncodeBatch writes the batch as indented JSON (the inverse of

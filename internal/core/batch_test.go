@@ -22,7 +22,7 @@ func TestDecodeBatchValid(t *testing.T) {
 	if b.Name != "study" || len(b.Configs) != 2 {
 		t.Fatalf("batch %+v", b)
 	}
-	res, err := b.Run(2)
+	res, err := b.RunWith(2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 func TestSweepMatchesIndividualRuns(t *testing.T) {
 	cfg := small(NetworkTree, AlgAdaptive, 2)
 	loads := []float64{0.1, 0.3}
-	swept, err := Sweep(cfg, loads, 2)
+	swept, err := SweepWith(cfg, loads, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 func TestSweepWorkerCountIrrelevant(t *testing.T) {
 	cfg := small(NetworkCube, AlgDeterministic, 4)
 	loads := []float64{0.1, 0.2, 0.3}
-	serial, err := Sweep(cfg, loads, 1)
+	serial, err := SweepWith(cfg, loads, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(cfg, loads, 8)
+	parallel, err := SweepWith(cfg, loads, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSweepWorkerCountIrrelevant(t *testing.T) {
 func TestSweepPropagatesErrors(t *testing.T) {
 	cfg := small(NetworkTree, AlgAdaptive, 2)
 	cfg.Pattern = "no-such-pattern"
-	if _, err := Sweep(cfg, []float64{0.1, 0.2}, 2); err == nil {
+	if _, err := SweepWith(cfg, []float64{0.1, 0.2}, 2, Options{}); err == nil {
 		t.Fatal("sweep swallowed a configuration error")
 	}
 }
@@ -312,5 +312,35 @@ func TestInjLanesAblationAssembles(t *testing.T) {
 	}
 	if res.Sample.PacketsDelivered == 0 {
 		t.Fatal("no packets with two injection lanes")
+	}
+}
+
+func TestMeshConfigRuns(t *testing.T) {
+	cfg := Config{
+		Network: NetworkMesh, Algorithm: AlgDuato, VCs: 4,
+		K: 4, N: 2, Load: 0.2, Seed: 1, Warmup: 300, Horizon: 2000,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sample.PacketsDelivered == 0 {
+		t.Fatal("mesh delivered nothing")
+	}
+	if res.Config.Label() != "mesh duato" {
+		t.Fatalf("mesh label %q", res.Config.Label())
+	}
+	// Same clock as the torus (same router microarchitecture).
+	torus := Config{Network: NetworkCube, Algorithm: AlgDuato, VCs: 4}
+	tm1, err := cfg.Timing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm2, err := torus.Timing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm1 != tm2 {
+		t.Fatal("mesh and torus timings differ")
 	}
 }

@@ -17,8 +17,8 @@ import (
 
 // Options threads the observability spine (internal/obs) through the
 // experiment layer. Every field is optional; the zero value is the
-// uninstrumented fast path, so Run/Sweep/Batch.Run cost nothing extra
-// when nobody is watching.
+// uninstrumented fast path, so a run or grid with zero Options costs
+// nothing extra when nobody is watching.
 type Options struct {
 	// Logger receives structured run events, scoped per run with the
 	// config fingerprint, label, pattern, seed and load attached once.
@@ -43,8 +43,8 @@ type Options struct {
 	// while in-flight runs complete and reach the store.
 	Context context.Context
 	// Batch and Index stamp manifest records and errors with the run's
-	// position in an enclosing study; SweepWith and Batch.RunWith set
-	// Index themselves.
+	// position in an enclosing study; RunGrid replaces them with each
+	// GridRun's own.
 	Batch string
 	Index int
 	// SelfCheck shadows every run with the reference oracle simulator
@@ -292,33 +292,54 @@ func wallMS(d time.Duration) float64 {
 	return float64(d.Nanoseconds()) / 1e6
 }
 
-// SweepWith is Sweep under observers: the Progress reporter sees every
-// completed load point, the Manifest gets one record per run (Index is
-// the load's position in the grid), and the Profiler aggregates stage
-// time across all parallel engines. A failing load point no longer
-// aborts the grid: the remaining points still run, the failures land in
-// the manifest as failure records, and the joined error is returned
-// alongside the results that did complete (failed slots hold zero
-// Results).
+// SweepWith runs the configuration at each offered load, in parallel
+// across min(workers, len(loads)) goroutines (each simulation is an
+// independent deterministic function of its config), and returns
+// results ordered as the loads. It is RunGrid over one batch: every run
+// is stamped with opts.Batch, and its Index is the load's position in
+// the sweep.
 func SweepWith(base Config, loads []float64, workers int, opts Options) ([]Result, error) {
 	if opts.Logger != nil {
 		opts.Logger.Info("sweep starting",
 			"cfg", base.Fingerprint(), "label", base.WithDefaults().Label(),
 			"runs", len(loads), "workers", workers)
 	}
-	results, errs := runAll(opts.Context, len(loads), workers, func(i int) (Result, error) {
+	runs := make([]GridRun, len(loads))
+	for i, load := range loads {
 		cfg := base
-		cfg.Load = loads[i]
+		cfg.Load = load
+		runs[i] = GridRun{Config: cfg, Batch: opts.Batch, Index: i}
+	}
+	return RunGrid(runs, workers, opts)
+}
+
+// GridRun is one point of a grid: the configuration to run and the
+// position it is stamped with in manifest records, events and errors.
+type GridRun struct {
+	Config Config
+	Batch  string
+	Index  int
+}
+
+// RunGrid executes every run under observers, in parallel across at most
+// workers goroutines, and returns results in run order. Each run
+// replaces opts' Batch and Index with its own, so one grid can hold
+// several studies: the Progress reporter sees every completed run, the
+// Manifest gets one record per run, and the Profiler aggregates stage
+// time across all parallel engines. A failing run does not abort the
+// grid: every run executes (panics included — they are isolated to
+// their own slot), each failure's error carries the run's batch, index,
+// load and fingerprint and how many runs completed, the same context is
+// emitted as a structured event and a manifest failure record, and all
+// failures come back joined alongside the results that did complete
+// (failed slots hold zero Results).
+func RunGrid(runs []GridRun, workers int, opts Options) ([]Result, error) {
+	results, errs := runAll(opts.Context, len(runs), workers, func(i int) (Result, error) {
 		o := opts
-		o.Index = i
-		return RunWith(cfg, o)
+		o.Batch, o.Index = runs[i].Batch, runs[i].Index
+		return RunWith(runs[i].Config, o)
 	})
-	err := finishGrid(opts, errs, "sweep run failed", func(i int) (Config, string) {
-		cfg := base
-		cfg.Load = loads[i]
-		return cfg, fmt.Sprintf("core: sweep run %d (load %g)", i, loads[i])
-	})
-	return results, err
+	return results, finishGrid(opts, runs, errs)
 }
 
 // runAll executes n indexed runs across at most workers goroutines and
@@ -359,12 +380,12 @@ func runAll(ctx context.Context, n, workers int, run func(i int) (Result, error)
 }
 
 // finishGrid settles a grid's per-run errors after runAll: each failure
-// is wrapped with its position, logged under the given event name, and
-// written to the manifest as a failure record, and the joined error is
-// returned. Runs skipped by a cancelled context appear in the error but
-// not in the manifest — they were interrupted, not failed, and a
-// resumed invocation completes them.
-func finishGrid(opts Options, errs []error, event string, what func(i int) (Config, string)) error {
+// is wrapped with its run's position, logged, and written to the
+// manifest as a failure record, and the joined error is returned. Runs
+// skipped by a cancelled context appear in the error but not in the
+// manifest — they were interrupted, not failed, and a resumed
+// invocation completes them.
+func finishGrid(opts Options, runs []GridRun, errs []error) error {
 	completed := 0
 	for _, err := range errs {
 		if err == nil {
@@ -376,20 +397,20 @@ func finishGrid(opts Options, errs []error, event string, what func(i int) (Conf
 		if err == nil {
 			continue
 		}
-		cfg, desc := what(i)
-		failures = append(failures, fmt.Errorf("%s (fingerprint %s, after %d/%d runs completed): %w",
-			desc, cfg.Fingerprint(), completed, len(errs), err))
+		r := runs[i]
+		failures = append(failures, fmt.Errorf("core: batch %q config %d (load %g, fingerprint %s, after %d/%d runs completed): %w",
+			r.Batch, r.Index, r.Config.Load, r.Config.Fingerprint(), completed, len(errs), err))
 		if errors.Is(err, context.Canceled) {
 			continue
 		}
 		if opts.Logger != nil {
-			opts.Logger.Error(event,
-				"batch", opts.Batch, "index", i, "cfg", cfg.Fingerprint(),
+			opts.Logger.Error("batch config failed",
+				"batch", r.Batch, "index", r.Index, "cfg", r.Config.Fingerprint(),
 				"completed", completed, "total", len(errs), "err", err)
 		}
 		if opts.Manifest != nil {
-			if werr := opts.Manifest.Write(failureRecord(cfg, i, opts.Batch, err)); werr != nil {
-				failures = append(failures, fmt.Errorf("core: failure manifest record %d: %w", i, werr))
+			if werr := opts.Manifest.Write(failureRecord(r.Config, r.Index, r.Batch, err)); werr != nil {
+				failures = append(failures, fmt.Errorf("core: failure manifest record %d: %w", r.Index, werr))
 			}
 		}
 	}

@@ -168,3 +168,61 @@ func TestBatchRunWithStampsManifest(t *testing.T) {
 		}
 	}
 }
+
+// TestRunGridStampsEachRunsOwnPosition runs one grid holding two
+// batches: every manifest record, completed or failed, and every joined
+// error must carry its own run's batch and index, not the Options'.
+func TestRunGridStampsEachRunsOwnPosition(t *testing.T) {
+	bad := Config{Network: NetworkTree, Algorithm: AlgDuato} // duato is undefined on the tree
+	light := smallCfg()
+	light.Load = 0.1
+	runs := []GridRun{
+		{Config: smallCfg(), Batch: "alpha", Index: 3},
+		{Config: bad, Batch: "alpha", Index: 4},
+		{Config: light, Batch: "beta", Index: 0},
+		{Config: bad, Batch: "beta", Index: 7},
+	}
+	var manifest bytes.Buffer
+	res, err := RunGrid(runs, 2, Options{Manifest: obs.NewManifestWriter(&manifest), Batch: "outer", Index: 99})
+	if err == nil {
+		t.Fatal("grid with two invalid configs reported success")
+	}
+	for _, want := range []string{`batch "alpha" config 4`, `batch "beta" config 7`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("joined error missing %q:\n%v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "outer") || strings.Contains(err.Error(), "config 99") {
+		t.Fatalf("joined error carries the Options' stamp:\n%v", err)
+	}
+	if res[0].Sample.Accepted <= 0 || res[2].Sample.Accepted <= 0 {
+		t.Fatalf("healthy runs did not complete: %+v", res)
+	}
+	recs, err := obs.DecodeManifest(&manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type stamp struct {
+		batch  string
+		index  int
+		failed bool
+	}
+	got := map[stamp]float64{}
+	for _, rec := range recs {
+		got[stamp{rec.Batch, rec.Index, rec.Failure != ""}] = rec.Load
+	}
+	want := map[stamp]float64{
+		{"alpha", 3, false}: 0.3,
+		{"alpha", 4, true}:  bad.WithDefaults().Load,
+		{"beta", 0, false}:  0.1,
+		{"beta", 7, true}:   bad.WithDefaults().Load,
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("%d manifest records, want %d: %+v", len(recs), len(want), recs)
+	}
+	for s, load := range want {
+		if l, ok := got[s]; !ok || l != load {
+			t.Fatalf("manifest lacks record %+v at load %v: %+v", s, load, got)
+		}
+	}
+}

@@ -17,7 +17,7 @@ func TestTreeThroughputStableAboveSaturation(t *testing.T) {
 		K: 4, N: 2, Pattern: PatternUniform,
 		Seed: 11, Warmup: 500, Horizon: 5000,
 	}
-	results, err := Sweep(cfg, []float64{0.3, 0.5, 0.7, 0.85, 1.0}, 1)
+	results, err := SweepWith(cfg, []float64{0.3, 0.5, 0.7, 0.85, 1.0}, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,14 +268,6 @@ func (s *Simulation) Drain(maxExtra int64) bool {
 	return s.Fabric.Drained()
 }
 
-// Sweep runs the configuration at each offered load, in parallel across
-// min(workers, len(loads)) goroutines (each simulation is an independent
-// deterministic function of its config), and returns results ordered as
-// the loads. SweepWith is the same under observers.
-func Sweep(base Config, loads []float64, workers int) ([]Result, error) {
-	return SweepWith(base, loads, workers, Options{})
-}
-
 // SeriesOf extracts the metrics series from sweep results.
 func SeriesOf(results []Result) metrics.Series {
 	s := make(metrics.Series, len(results))

@@ -15,7 +15,7 @@ func TestSweepLoadEndpoints(t *testing.T) {
 		Pattern: PatternUniform, Seed: 11,
 		Warmup: 200, Horizon: 1000,
 	}
-	res, err := Sweep(base, []float64{0.0, 1.0}, 2)
+	res, err := SweepWith(base, []float64{0.0, 1.0}, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,29 +128,6 @@ func PacketRate(top topology.Topology, loadFraction float64, packetFlits int) (f
 	return loadFraction * capFlits / float64(packetFlits), nil
 }
 
-// LinkCount returns the number of bidirectional links of the topology as
-// the paper counts them — n*k^n for both families: the cube has n
-// channels per node; the tree has k^n node links plus (n-1)*k^n
-// inter-switch links, the idle external connections at the root excluded.
-// The quaternary fat-tree therefore has twice as many links as the
-// bidimensional cube of equal size, which the halved data path
-// compensates.
-func LinkCount(top topology.Topology) (int, error) {
-	switch t := top.(type) {
-	case *topology.Tree:
-		return t.N * t.Nodes(), nil
-	case *topology.Cube:
-		links := t.N * t.Nodes()
-		if !t.Wrap {
-			// The mesh lacks the k^(n-1) wrap-around links per dimension.
-			links -= t.N * t.Nodes() / t.K
-		}
-		return links, nil
-	default:
-		return 0, fmt.Errorf("phys: unknown topology family %T", top)
-	}
-}
-
 // ThroughputBitsPerNS converts an accepted load fraction into the
 // aggregate network throughput in bits per nanosecond, given the
 // configuration's clock period in nanoseconds — the y axis of Figure

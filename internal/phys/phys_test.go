@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestMeshCapacityHalvesTorus(t *testing.T) {
 	if err != nil || cf != 0.25 {
 		t.Fatalf("16-ary 2-mesh capacity %v (%v), want 0.25 (half the torus)", cf, err)
 	}
-	links, err := LinkCount(mesh)
+	links, err := linkCount(mesh)
 	if err != nil || links != 512-32 {
 		t.Fatalf("mesh links %d (%v), want 480 (torus minus wrap links)", links, err)
 	}
@@ -138,11 +139,11 @@ func TestMeshCapacityHalvesTorus(t *testing.T) {
 // cube twice the data path, so the aggregate peak bandwidth is the same.
 func TestPeakBandwidthEqualized(t *testing.T) {
 	tree, cube := paperPair(t)
-	tl, err := LinkCount(tree)
+	tl, err := linkCount(tree)
 	if err != nil || tl != 1024 {
 		t.Fatalf("tree links %d (%v), want n*k^n = 1024", tl, err)
 	}
-	cl, err := LinkCount(cube)
+	cl, err := linkCount(cube)
 	if err != nil || cl != 512 {
 		t.Fatalf("cube links %d (%v), want 512", cl, err)
 	}
@@ -230,8 +231,8 @@ func TestUnknownTopologyErrors(t *testing.T) {
 	if _, err := CapacityFlits(unknown); err == nil {
 		t.Error("CapacityFlits accepted unknown family")
 	}
-	if _, err := LinkCount(unknown); err == nil {
-		t.Error("LinkCount accepted unknown family")
+	if _, err := linkCount(unknown); err == nil {
+		t.Error("linkCount accepted unknown family")
 	}
 }
 
@@ -245,7 +246,7 @@ func TestPacketBytesConstant(t *testing.T) {
 // cycle: links x flit width x two directions.
 func peakBandwidthBytes(t *testing.T, top topology.Topology) int {
 	t.Helper()
-	links, err := LinkCount(top)
+	links, err := linkCount(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,4 +264,27 @@ func pinEquivalentWidth(top topology.Topology) int {
 		return 2 * tree.K * TreeFlitBytes
 	}
 	return 2 * top.(*topology.Cube).N * CubeFlitBytes
+}
+
+// linkCount returns the number of bidirectional links of the topology as
+// the paper counts them — n*k^n for both families: the cube has n
+// channels per node; the tree has k^n node links plus (n-1)*k^n
+// inter-switch links, the idle external connections at the root excluded.
+// The quaternary fat-tree therefore has twice as many links as the
+// bidimensional cube of equal size, which the halved data path
+// compensates.
+func linkCount(top topology.Topology) (int, error) {
+	switch t := top.(type) {
+	case *topology.Tree:
+		return t.N * t.Nodes(), nil
+	case *topology.Cube:
+		links := t.N * t.Nodes()
+		if !t.Wrap {
+			// The mesh lacks the k^(n-1) wrap-around links per dimension.
+			links -= t.N * t.Nodes() / t.K
+		}
+		return links, nil
+	default:
+		return 0, fmt.Errorf("phys: unknown topology family %T", top)
+	}
 }

@@ -84,9 +84,6 @@ func TestRoundTripEveryRoutingCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if err := st2.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
 	for _, fp := range st2.Fingerprints() {
 		rec, digest, ok, err := st2.Get(fp)
 		if err != nil || !ok {

@@ -476,18 +476,6 @@ func (s *Store) readLocked(l loc) ([]byte, error) {
 	return line, nil
 }
 
-// VerifyAll re-reads and digest-verifies every live entry, returning
-// the first failure. The crash-safety suite calls it after simulated
-// kills; no command exposes it, and Get verifies each entry it serves.
-func (s *Store) VerifyAll() error {
-	for _, fp := range s.Fingerprints() {
-		if _, _, _, err := s.Get(fp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close syncs and closes the active segment. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()

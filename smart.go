@@ -97,7 +97,7 @@ func NewSimulationShards(cfg Config, shards int) (*Simulation, error) {
 // Sweep runs the configuration across offered loads, in parallel across
 // workers goroutines, returning results in load order.
 func Sweep(base Config, loads []float64, workers int) ([]Result, error) {
-	return core.Sweep(base, loads, workers)
+	return core.SweepWith(base, loads, workers, core.Options{})
 }
 
 // SeriesOf extracts the metrics series from sweep results.
