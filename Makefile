@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-shardsafe test race cover fuzz bench bench-fabric bench-serve shard-smoke resume-smoke telemetry-smoke fault-smoke serve-smoke experiments-smoke profile experiments quick clean
+.PHONY: all build vet lint lint-shardsafe test perfbench-check race cover fuzz bench bench-fabric bench-serve shard-smoke resume-smoke telemetry-smoke fault-smoke serve-smoke experiments-smoke profile experiments quick clean
 
 all: build lint test
 
@@ -21,6 +21,12 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# The benchmark is its own module (perfbench/, built against this tree),
+# so the root build and tests never compile it: vet and test it here,
+# or deleting an API it calls only shows up when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race -shuffle=on -count=1 ./internal/... ./cmd/... .

@@ -144,7 +144,7 @@ func main() {
 	if flags.Manifest != "" {
 		fmt.Printf("\nrun manifest written to %s\n", flags.Manifest)
 	}
-	if flags.Telemetry.SidecarPath != "" {
-		fmt.Printf("\ntime series written to %s\n", flags.Telemetry.SidecarPath)
+	if flags.Timeseries != "" {
+		fmt.Printf("\ntime series written to %s\n", flags.Timeseries)
 	}
 }

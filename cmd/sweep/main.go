@@ -178,7 +178,7 @@ func main() {
 	if flags.Manifest != "" {
 		fmt.Printf("run manifest written to %s\n", flags.Manifest)
 	}
-	if flags.Telemetry.SidecarPath != "" {
-		fmt.Printf("time series written to %s\n", flags.Telemetry.SidecarPath)
+	if flags.Timeseries != "" {
+		fmt.Printf("time series written to %s\n", flags.Timeseries)
 	}
 }

@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp := telemetry.NewSampler(sm.Fabric, sm.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 250})
+	sp := telemetry.NewSampler(sm.Fabric, sm.Engine, telemetry.RunInfo{}, 250)
 	sp.Register(sm.Engine)
 	if _, err := sm.Run(); err != nil {
 		log.Fatal(err)

@@ -12,7 +12,7 @@ import (
 func sampled(t *testing.T, rate float64, cycles, every int64) ([]RatePoint, int64) {
 	t.Helper()
 	f, _, e := newCube(t, rate, false)
-	sp := telemetry.NewSampler(f, e, telemetry.RunInfo{}, telemetry.Config{Every: every})
+	sp := telemetry.NewSampler(f, e, telemetry.RunInfo{}, every)
 	sp.Register(e)
 	e.Run(cycles)
 	rates, err := Rates(telemetry.RecordOf(sp))

@@ -1,8 +1,10 @@
-// Package cli is the one path from a grid command's flags to
-// core.Options. cmd/sweep, cmd/batch and cmd/experiments register the
-// shared flags with AddFlags (plus -manifest, and -store or -selfcheck
-// where they take them, each with its own help text), then bracket the
-// grid with Open and Close.
+// Package cli is the one path from a command's flags to core.Options.
+// cmd/netsim registers the flags every simulating command shares with
+// AddRunFlags; the grid commands (cmd/sweep, cmd/batch and
+// cmd/experiments) register those plus the checkpoint flags with
+// AddFlags, and add -manifest, and -store or -selfcheck where they take
+// them, each with its own help text. Every command brackets its work
+// with Open and Close.
 //
 // Open validates the flags and opens everything they ask for: the Go
 // profilers, the signal context, the -v logger, progress line and
@@ -24,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"time"
 
@@ -34,19 +37,25 @@ import (
 	"smart/internal/telemetry"
 )
 
-// Flags are the options the grid commands share.
+// Flags are the options the commands share.
 type Flags struct {
-	Obs       *obs.Flags
-	Telemetry *telemetry.Flags
+	Obs *obs.Flags
+	// MetricsAddr is the address the live telemetry endpoint listens on
+	// and Timeseries the JSONL sidecar file each run's series is written
+	// to ("" disables either); SampleEvery is their sampling cadence in
+	// cycles.
+	MetricsAddr string
+	Timeseries  string
+	SampleEvery int64
+	Shards      int
 	// Checkpoint names the result store directory the grid keeps its
 	// completed runs in ("" disables it); Resume continues a grid whose
-	// runs are already stored there.
+	// runs are already stored there. AddFlags registers both.
 	Checkpoint string
 	Resume     bool
-	// Watchdog is the no-progress cycle budget the commands apply to
-	// configs that do not set their own; 0 disables the watchdog.
+	// Watchdog is the no-progress cycle budget the grid commands apply
+	// to configs that do not set their own; 0 disables the watchdog.
 	Watchdog int64
-	Shards   int
 	// Manifest, Store and SelfCheck are registered by the commands that
 	// take them.
 	Manifest  string
@@ -56,18 +65,29 @@ type Flags struct {
 	stderr io.Writer
 }
 
-// AddFlags registers the shared observability, telemetry, resilience
-// and sharding flags on fs.
-func AddFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{Obs: obs.AddFlags(fs), Telemetry: telemetry.AddFlags(fs), stderr: os.Stderr}
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "keep completed runs in a result store at this `directory` as they finish")
-	fs.BoolVar(&f.Resume, "resume", false, "replay the runs the -checkpoint store already holds instead of re-running them")
-	fs.Int64Var(&f.Watchdog, "watchdog", resilience.DefaultWatchdogCycles, "abort a run after this many `cycles` without progress (0 disables)")
+// AddRunFlags registers the observability, telemetry and sharding flags
+// every simulating command shares on fs. The session reports to fs's
+// output.
+func AddRunFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{Obs: obs.AddFlags(fs), stderr: fs.Output()}
+	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live telemetry on this `address` (/metrics Prometheus text, /telemetry.json)")
+	fs.Int64Var(&f.SampleEvery, "sample-every", telemetry.DefaultEvery, "telemetry sampling cadence in `cycles`")
+	fs.StringVar(&f.Timeseries, "timeseries", "", "write each run's time series to this JSONL `file` (schema "+telemetry.Schema+")")
 	fs.IntVar(&f.Shards, "shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
 	return f
 }
 
-// Session is one open grid invocation.
+// AddFlags registers the grid commands' flags on fs: AddRunFlags's plus
+// -checkpoint, -resume and -watchdog.
+func AddFlags(fs *flag.FlagSet) *Flags {
+	f := AddRunFlags(fs)
+	fs.StringVar(&f.Checkpoint, "checkpoint", "", "keep completed runs in a result store at this `directory` as they finish")
+	fs.BoolVar(&f.Resume, "resume", false, "replay the runs the -checkpoint store already holds instead of re-running them")
+	fs.Int64Var(&f.Watchdog, "watchdog", resilience.DefaultWatchdogCycles, "abort a run after this many `cycles` without progress (0 disables)")
+	return f
+}
+
+// Session is one open command invocation.
 type Session struct {
 	// Options carries every observer the flags asked for; pass it (or a
 	// copy with Batch set) to the grid.
@@ -78,7 +98,7 @@ type Session struct {
 	checkpoint string
 	stopSignal context.CancelFunc
 	stopProf   func() error
-	stopTel    func() error
+	listener   net.Listener
 	manifest   *os.File
 	closed     bool
 }
@@ -86,6 +106,9 @@ type Session struct {
 // Open validates the flags and opens what they ask for. name prefixes
 // every message; runs and every size and pace the progress line.
 func (f *Flags) Open(name string, runs int, every time.Duration) (*Session, error) {
+	if f.SampleEvery <= 0 {
+		return nil, fmt.Errorf("-sample-every must be a positive number of cycles, got %d", f.SampleEvery)
+	}
 	if f.Resume && f.Checkpoint == "" {
 		return nil, errors.New("-resume requires -checkpoint")
 	}
@@ -107,7 +130,6 @@ func (f *Flags) Open(name string, runs int, every time.Duration) (*Session, erro
 		checkpoint: f.Checkpoint,
 		stopSignal: stopSignal,
 		stopProf:   stopProf,
-		stopTel:    func() error { return nil },
 	}
 	if err := s.open(f, runs, every); err != nil {
 		s.shutdown()
@@ -142,22 +164,34 @@ func (s *Session) open(f *Flags, runs int, every time.Duration) error {
 		s.Options.Progress = obs.NewProgress(s.stderr, runs, every)
 		s.Options.Progress.Start()
 	}
-	tel, addr, stopTel, err := f.Telemetry.Open()
-	if err != nil {
-		return err
-	}
-	s.stopTel = stopTel
-	if tel != nil && tel.Server != nil {
-		// Grid progress is served even without -v: an unstarted
-		// Progress never prints but still snapshots.
-		if s.Options.Progress == nil {
-			s.Options.Progress = obs.NewProgress(s.stderr, runs, every)
+	if f.MetricsAddr != "" || f.Timeseries != "" {
+		tel := &telemetry.Options{Every: f.SampleEvery}
+		s.Options.Telemetry = tel
+		if f.MetricsAddr != "" {
+			tel.Server = telemetry.NewServer()
+			_, ln, err := obs.Listen(f.MetricsAddr, tel.Server.Handler())
+			if err != nil {
+				return fmt.Errorf("telemetry: listening on %s: %w", f.MetricsAddr, err)
+			}
+			s.listener = ln
+			// Grid progress is served even without -v: an unstarted
+			// Progress never prints but still snapshots.
+			if s.Options.Progress == nil {
+				s.Options.Progress = obs.NewProgress(s.stderr, runs, every)
+			}
+			tel.Server.SetProgress(s.Options.Progress)
+			fmt.Fprintf(s.stderr, "%s: serving telemetry on http://%s/metrics\n", s.name, ln.Addr())
 		}
-		tel.Server.SetProgress(s.Options.Progress)
-		fmt.Fprintf(s.stderr, "%s: serving telemetry on http://%s/metrics\n", s.name, addr)
+		if f.Timeseries != "" {
+			sc, err := telemetry.OpenSidecar(f.Timeseries)
+			if err != nil {
+				return err
+			}
+			tel.Sidecar = sc
+		}
 	}
-	s.Options.Telemetry = tel
 	if f.Manifest != "" {
+		var err error
 		if s.manifest, err = os.Create(f.Manifest); err != nil {
 			return err
 		}
@@ -209,7 +243,12 @@ func (s *Session) shutdown() error {
 	if s.Options.Store != nil {
 		errs = append(errs, s.Options.Store.Close())
 	}
-	errs = append(errs, s.stopTel())
+	if s.listener != nil {
+		errs = append(errs, s.listener.Close())
+	}
+	if t := s.Options.Telemetry; t != nil && t.Sidecar != nil {
+		errs = append(errs, t.Sidecar.Close())
+	}
 	if s.manifest != nil {
 		errs = append(errs, s.manifest.Close())
 	}

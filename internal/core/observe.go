@@ -157,7 +157,7 @@ func (s *Simulation) RunWith(opts Options) (Result, error) {
 			Seed:        cfg.Seed,
 			Load:        cfg.Load,
 			Fingerprint: cfg.Fingerprint(),
-		}, opts.Telemetry.Config)
+		}, opts.Telemetry.Every)
 		sampler.Register(s.Engine)
 		opts.Telemetry.Server.Attach(sampler)
 	}

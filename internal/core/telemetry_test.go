@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smart/internal/sim"
 	"smart/internal/store"
 	"smart/internal/telemetry"
 )
@@ -47,7 +48,7 @@ func TestTelemetryDoesNotChangeBehavior(t *testing.T) {
 	instrRes, err := instr.RunWith(Options{Telemetry: &telemetry.Options{
 		Server:  telemetry.NewServer(),
 		Sidecar: sc,
-		Config:  telemetry.Config{Every: 100},
+		Every:   100,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +76,11 @@ func TestTelemetryDisabledAddsNoStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Engine.Stages()
+	before := stageCount(s.Engine)
 	if _, err := s.RunWith(Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Engine.Stages(); got != before {
+	if got := stageCount(s.Engine); got != before {
 		t.Fatalf("zero Options registered %d extra stages", got-before)
 	}
 
@@ -87,13 +88,20 @@ func TestTelemetryDisabledAddsNoStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = s2.Engine.Stages()
+	before = stageCount(s2.Engine)
 	if _, err := s2.RunWith(Options{Telemetry: &telemetry.Options{}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Engine.Stages(); got != before+1 {
+	if got := stageCount(s2.Engine); got != before+1 {
 		t.Fatalf("telemetry registered %d extra stages, want exactly 1 (the sampler)", got-before)
 	}
+}
+
+// stageCount counts the engine's registered stages.
+func stageCount(e *sim.Engine) int {
+	n := 0
+	e.Instrument(func(sim.Stage) sim.Stage { n++; return nil })
+	return n
 }
 
 // readSidecar decodes a finished sidecar file.
@@ -179,7 +187,7 @@ func TestRepeatedConfigKeepsEverySeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.RunWith(2, Options{Telemetry: &telemetry.Options{Sidecar: sc, Config: telemetry.Config{Every: 100}}}); err != nil {
+		if _, err := b.RunWith(2, Options{Telemetry: &telemetry.Options{Sidecar: sc, Every: 100}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := sc.Close(); err != nil {

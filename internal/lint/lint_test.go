@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -360,4 +362,29 @@ func TestSelfClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("determinism contract violation: %s", d)
 	}
+}
+
+// LoadDir parses and type-checks the non-test .go files of a single
+// directory under the given import path. It exists for the analyzer's
+// own fixture packages, which live under testdata/ where go list does
+// not look; the import path is caller-chosen so tests can probe
+// path-scoped exemptions (e.g. internal/obs and the wallclock rule).
+func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("lint: no .go files in %s", dir)
+	}
+	sort.Strings(names)
+	return l.checkFiles(importPath, dir, names)
 }

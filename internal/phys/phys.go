@@ -26,25 +26,6 @@ const (
 	CubeFlitBytes = 4
 )
 
-// MatchedPair reports whether tree parameters (k1, n1) and cube
-// parameters (k2, n2) satisfy the paper's fairness conditions: the same
-// number of processing nodes (k1^n1 == k2^n2) and the same number of
-// routing chips (n1*k1^(n1-1) == k2^n2). The two equations imply k1 == n1
-// and N = k1^k1; the paper's instance is the 4-ary 4-tree against the
-// 16-ary 2-cube.
-func MatchedPair(k1, n1, k2, n2 int) (bool, error) {
-	treeNodes, err := topology.Pow(k1, n1)
-	if err != nil {
-		return false, err
-	}
-	cubeNodes, err := topology.Pow(k2, n2)
-	if err != nil {
-		return false, err
-	}
-	treeRouters := n1 * treeNodes / k1
-	return treeNodes == cubeNodes && treeRouters == cubeNodes, nil
-}
-
 // FlitBytes returns the data-path width used on the given topology.
 func FlitBytes(top topology.Topology) (int, error) {
 	switch top.(type) {

@@ -24,7 +24,7 @@ func paperPair(t *testing.T) (*topology.Tree, *topology.Cube) {
 // TestMatchedPairPaperInstance verifies §5's fairness conditions for the
 // paper's chosen pair: same processing nodes and same routing chips.
 func TestMatchedPairPaperInstance(t *testing.T) {
-	ok, err := MatchedPair(4, 4, 16, 2)
+	ok, err := matchedPair(4, 4, 16, 2)
 	if err != nil || !ok {
 		t.Fatalf("4-ary 4-tree vs 16-ary 2-cube not matched (ok=%v err=%v)", ok, err)
 	}
@@ -33,22 +33,22 @@ func TestMatchedPairPaperInstance(t *testing.T) {
 func TestMatchedPairImpliesKEqualsN(t *testing.T) {
 	// The equations imply k1 = n1 and N = k1^k1: (3,3) vs (3,3) works,
 	// (2,2) vs (4,1) works; mismatched pairs fail.
-	ok, err := MatchedPair(3, 3, 3, 3)
+	ok, err := matchedPair(3, 3, 3, 3)
 	if err != nil || !ok {
 		t.Fatalf("3-ary 3-tree vs 3-ary 3-cube should match: ok=%v err=%v", ok, err)
 	}
-	ok, err = MatchedPair(2, 2, 4, 1)
+	ok, err = matchedPair(2, 2, 4, 1)
 	if err != nil || !ok {
 		t.Fatalf("2-ary 2-tree vs 4-ary 1-cube should match: ok=%v err=%v", ok, err)
 	}
-	ok, err = MatchedPair(4, 2, 16, 2)
+	ok, err = matchedPair(4, 2, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("4-ary 2-tree vs 16-ary 2-cube should not match (different node counts)")
 	}
-	ok, err = MatchedPair(4, 3, 8, 2)
+	ok, err = matchedPair(4, 3, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,4 +287,23 @@ func linkCount(top topology.Topology) (int, error) {
 	default:
 		return 0, fmt.Errorf("phys: unknown topology family %T", top)
 	}
+}
+
+// matchedPair reports whether tree parameters (k1, n1) and cube
+// parameters (k2, n2) satisfy the paper's fairness conditions: the same
+// number of processing nodes (k1^n1 == k2^n2) and the same number of
+// routing chips (n1*k1^(n1-1) == k2^n2). The two equations imply k1 == n1
+// and N = k1^k1; the paper's instance is the 4-ary 4-tree against the
+// 16-ary 2-cube.
+func matchedPair(k1, n1, k2, n2 int) (bool, error) {
+	treeNodes, err := topology.Pow(k1, n1)
+	if err != nil {
+		return false, err
+	}
+	cubeNodes, err := topology.Pow(k2, n2)
+	if err != nil {
+		return false, err
+	}
+	treeRouters := n1 * treeNodes / k1
+	return treeNodes == cubeNodes && treeRouters == cubeNodes, nil
 }

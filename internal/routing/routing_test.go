@@ -274,7 +274,7 @@ func TestDORPathProperties(t *testing.T) {
 			if cube.CrossesWrap(cur, d, dir) {
 				wrapped[d] = true
 			}
-			cur = cube.Neighbor(cur, d, dir)
+			cur = cube.RouterPorts(cur)[topology.PortOf(d, dir)].Peer
 		}
 		if int(info.Hops) != cube.Distance(int(info.Src), dst)-1 {
 			t.Fatalf("packet %d hops %d, want torus distance %d + ejection", pkt, info.Hops, cube.Distance(int(info.Src), dst)-2)
@@ -348,7 +348,7 @@ func TestDuatoPathProperties(t *testing.T) {
 			if cube.CrossesWrap(cur, d, dir) {
 				wrapped[d] = true
 			}
-			cur = cube.Neighbor(cur, d, dir)
+			cur = cube.RouterPorts(cur)[topology.PortOf(d, dir)].Peer
 		}
 		if int(info.Hops) != cube.Distance(int(info.Src), dst)-1 {
 			t.Fatalf("packet %d hops %d not minimal", pkt, info.Hops)

@@ -84,9 +84,6 @@ func (e *Engine) Instrument(wrap func(Stage) Stage) {
 // Run calls, the index of the next cycle to execute.
 func (e *Engine) Cycle() int64 { return e.cycle }
 
-// Stages returns the number of registered stages.
-func (e *Engine) Stages() int { return len(e.stages) }
-
 // Step executes exactly one cycle.
 func (e *Engine) Step() {
 	for _, s := range e.stages {

@@ -90,13 +90,13 @@ func TestEngineRegisterNilPanics(t *testing.T) {
 
 func TestEngineStagesCount(t *testing.T) {
 	e := NewEngine()
-	if e.Stages() != 0 {
-		t.Fatalf("fresh engine has %d stages", e.Stages())
+	if len(e.stages) != 0 {
+		t.Fatalf("fresh engine has %d stages", len(e.stages))
 	}
 	e.RegisterFunc("x", func(int64) {})
 	e.RegisterFunc("y", func(int64) {})
-	if e.Stages() != 2 {
-		t.Fatalf("Stages() = %d, want 2", e.Stages())
+	if len(e.stages) != 2 {
+		t.Fatalf("Stages() = %d, want 2", len(e.stages))
 	}
 }
 

@@ -96,19 +96,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n) using Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // mul64 returns the 128-bit product of a and b as (hi, lo). The standard
 // library exposes this as math/bits.Mul64; it is re-derived here to keep
 // the arithmetic explicit and dependency-free in the kernel's hot path.

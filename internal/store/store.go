@@ -381,13 +381,6 @@ func (s *Store) Lookup(fingerprint string) (Entry, bool, error) {
 	return e, true, nil
 }
 
-// Fingerprints returns the live fingerprints in sorted order.
-func (s *Store) Fingerprints() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return order.Keys(s.index)
-}
-
 // Compact rewrites the live entries — latest per fingerprint, in sorted
 // fingerprint order — into a single fresh segment and deletes the old
 // ones, reclaiming superseded entries. The new segment is written to a

@@ -10,6 +10,7 @@ import (
 
 	"smart/internal/metrics"
 	"smart/internal/obs"
+	"smart/internal/order"
 )
 
 // testRecord fabricates a completed run record. The store keys entries
@@ -545,4 +546,11 @@ func verifyAll(s *Store) error {
 		}
 	}
 	return nil
+}
+
+// Fingerprints returns the live fingerprints in sorted order.
+func (s *Store) Fingerprints() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return order.Keys(s.index)
 }

@@ -54,55 +54,41 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Thresholds tunes the congestion-event detector. The zero value takes
-// the defaults via withDefaults.
-type Thresholds struct {
+// thresholds tunes the congestion-event detector.
+type thresholds struct {
 	// Onset and Clear bound the per-class utilization hysteresis band:
 	// a class becomes hot after Sustain consecutive samples at >= Onset
-	// and cools at <= Clear. Defaults 0.90 / 0.75.
+	// and cools at <= Clear.
 	Onset, Clear float64
-	// Sustain is the consecutive-sample requirement for onset (default
-	// 3: one interval above threshold is a burst, three are congestion).
+	// Sustain is the consecutive-sample requirement for onset (one
+	// interval above threshold is a burst, three are congestion).
 	Sustain int
 	// QueueGrowth is the consecutive strictly-growing backlog samples
-	// before a queue-growth event (default 5).
+	// before a queue-growth event.
 	QueueGrowth int
 	// NearStallFraction is the fraction of the watchdog budget the
-	// progress counter may stay flat before a near-stall event (default
-	// 0.5). Without a watchdog, near-stall falls back to
-	// NearStallSamples flat samples with traffic in flight.
+	// progress counter may stay flat before a near-stall event. Without
+	// a watchdog, near-stall falls back to NearStallSamples flat samples
+	// with traffic in flight.
 	NearStallFraction float64
-	// NearStallSamples is the watchdog-less fallback (default 10).
-	NearStallSamples int
+	NearStallSamples  int
 }
 
-func (t Thresholds) withDefaults() Thresholds {
-	if t.Onset <= 0 {
-		t.Onset = 0.90
-	}
-	if t.Clear <= 0 {
-		t.Clear = 0.75
-	}
-	if t.Sustain <= 0 {
-		t.Sustain = 3
-	}
-	if t.QueueGrowth <= 0 {
-		t.QueueGrowth = 5
-	}
-	if t.NearStallFraction <= 0 {
-		t.NearStallFraction = 0.5
-	}
-	if t.NearStallSamples <= 0 {
-		t.NearStallSamples = 10
-	}
-	return t
+// defaultThresholds are the detector settings every sampler uses.
+var defaultThresholds = thresholds{
+	Onset:             0.90,
+	Clear:             0.75,
+	Sustain:           3,
+	QueueGrowth:       5,
+	NearStallFraction: 0.5,
+	NearStallSamples:  10,
 }
 
 // detector turns a stream of per-sample observations into events. It is
 // purely sequential state — no wall clock, no randomness — so identical
 // runs produce identical event streams.
 type detector struct {
-	thr Thresholds
+	thr thresholds
 	// per-class hysteresis state
 	hotStreak []int  // consecutive samples at >= Onset
 	hot       []bool // class is in the congested state
@@ -118,9 +104,9 @@ type detector struct {
 	prevDown int
 }
 
-func newDetector(classes int, thr Thresholds) *detector {
+func newDetector(classes int, thr thresholds) *detector {
 	return &detector{
-		thr:         thr.withDefaults(),
+		thr:         thr,
 		hotStreak:   make([]int, classes),
 		hot:         make([]bool, classes),
 		growArmed:   true,

@@ -10,7 +10,7 @@ func feed(d *detector, o observation) []Event {
 }
 
 func TestCongestionHysteresis(t *testing.T) {
-	d := newDetector(1, Thresholds{Onset: 0.9, Clear: 0.75, Sustain: 3})
+	d := newDetector(1, defaultThresholds)
 	cycle := int64(0)
 	util := func(u float64) []Event {
 		cycle += 100
@@ -56,7 +56,9 @@ func TestCongestionHysteresis(t *testing.T) {
 }
 
 func TestQueueGrowthRearm(t *testing.T) {
-	d := newDetector(0, Thresholds{QueueGrowth: 3})
+	thr := defaultThresholds
+	thr.QueueGrowth = 3
+	d := newDetector(0, thr)
 	cycle := int64(0)
 	q := func(queued int64) []Event {
 		cycle += 100
@@ -91,7 +93,9 @@ func TestQueueGrowthRearm(t *testing.T) {
 }
 
 func TestNearStallFallback(t *testing.T) {
-	d := newDetector(0, Thresholds{NearStallSamples: 4})
+	thr := defaultThresholds
+	thr.NearStallSamples = 4
+	d := newDetector(0, thr)
 	cycle := int64(0)
 	flat := func(inFlight int64, progressed bool) []Event {
 		cycle += 100
@@ -121,7 +125,7 @@ func TestNearStallFallback(t *testing.T) {
 }
 
 func TestNearStallAgainstWatchdogBudget(t *testing.T) {
-	d := newDetector(0, Thresholds{NearStallFraction: 0.5})
+	d := newDetector(0, defaultThresholds)
 	// Stalled since cycle 100 with a 200-cycle budget: the halfway point
 	// is cycle 200.
 	evs := feed(d, observation{cycle: 150, inFlight: 5, watched: true, watchSince: 100, watchBudget: 200})
@@ -142,7 +146,7 @@ func TestStallEventSummarizesSnapshot(t *testing.T) {
 }
 
 func TestFaultOnsetAndClear(t *testing.T) {
-	d := newDetector(0, Thresholds{})
+	d := newDetector(0, defaultThresholds)
 	cycle := int64(0)
 	down := func(links, routers int) []Event {
 		cycle += 100

@@ -7,10 +7,7 @@ func point(cycle int64, class0, class1 int64) Point {
 }
 
 func TestRingBeforeWraparound(t *testing.T) {
-	r, err := NewRing(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRing(4, 2)
 	for c := int64(1); c <= 3; c++ {
 		r.Push(point(c, c, -c))
 	}
@@ -25,10 +22,7 @@ func TestRingBeforeWraparound(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r, err := NewRing(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRing(4, 2)
 	for c := int64(1); c <= 10; c++ {
 		r.Push(point(c, c, 2*c))
 	}
@@ -52,10 +46,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestRingPushCopiesClassFlits(t *testing.T) {
-	r, err := NewRing(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRing(2, 2)
 	scratch := []int64{1, 2}
 	r.Push(Point{Cycle: 1, ClassFlits: scratch})
 	// The sampler reuses its scratch slice between samples; the ring
@@ -67,10 +58,7 @@ func TestRingPushCopiesClassFlits(t *testing.T) {
 }
 
 func TestRingSnapshotIsDeepCopy(t *testing.T) {
-	r, err := NewRing(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRing(2, 1)
 	r.Push(Point{Cycle: 1, ClassFlits: []int64{5}})
 	snap := r.Snapshot(nil)
 	if len(snap) != 1 || snap[0].ClassFlits[0] != 5 {
@@ -81,14 +69,5 @@ func TestRingSnapshotIsDeepCopy(t *testing.T) {
 	r.Push(Point{Cycle: 3, ClassFlits: []int64{7}})
 	if snap[0].Cycle != 1 || snap[0].ClassFlits[0] != 5 {
 		t.Fatalf("snapshot mutated by later pushes: %+v", snap[0])
-	}
-}
-
-func TestRingRejectsBadCapacity(t *testing.T) {
-	if _, err := NewRing(0, 1); err == nil {
-		t.Fatal("NewRing(0, 1) succeeded, want error")
-	}
-	if _, err := NewRing(4, -1); err == nil {
-		t.Fatal("NewRing(4, -1) succeeded, want error")
 	}
 }

@@ -32,7 +32,7 @@ func newSim(t *testing.T, load float64) *core.Simulation {
 // path must agree exactly.
 func TestIntervalDeltasMatchDense(t *testing.T) {
 	s := newSim(t, 0.4)
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 50})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, 50)
 	sp.Register(s.Engine)
 	// Drive the engine directly: no warmup boundary, so the link
 	// counters are never reset and the deltas must telescope to the
@@ -75,7 +75,7 @@ func TestIntervalDeltasSurviveCounterReset(t *testing.T) {
 	s := newSim(t, 0.4)
 	// Cadence deliberately misaligned with the 300-cycle warmup so the
 	// reset lands mid-interval.
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 70})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, 70)
 	sp.Register(s.Engine)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestIntervalDeltasSurviveCounterReset(t *testing.T) {
 // a cadence multiple still records its final state.
 func TestFinishForcesTerminalSample(t *testing.T) {
 	s := newSim(t, 0.3)
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 400})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, 400)
 	sp.Register(s.Engine)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSamplerRecordRoundTrips(t *testing.T) {
 	s := newSim(t, 0.3)
 	run := telemetry.RunInfo{Batch: "unit", Index: 3, Label: "tree adaptive-2vc",
 		Pattern: "uniform", Seed: 7, Load: 0.3, Fingerprint: s.Config.Fingerprint()}
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, telemetry.Config{Every: 100})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, 100)
 	sp.Register(s.Engine)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestSamplerRecordRoundTrips(t *testing.T) {
 // closure or slice per call.
 func TestSamplerStepAllocFree(t *testing.T) {
 	s := newSim(t, 0.4)
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 1})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, 1)
 	sp.Register(s.Engine)
 	s.Engine.Run(200) // warm up: traffic in flight, detector state settled
 	allocs := testing.AllocsPerRun(200, func() { s.Engine.Step() })

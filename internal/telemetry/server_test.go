@@ -45,7 +45,7 @@ func TestMetricsGoldenResponse(t *testing.T) {
 	s := newSim(t, 0.4)
 	run := telemetry.RunInfo{Batch: "golden", Index: 2, Label: "tree adaptive-2vc",
 		Pattern: "uniform", Seed: 7, Load: 0.4, Fingerprint: s.Config.Fingerprint()}
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, telemetry.Config{Every: 100})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, 100)
 	sp.Register(s.Engine)
 	srv := telemetry.NewServer()
 	srv.Attach(sp)
@@ -84,13 +84,13 @@ func TestMetricsGoldenFaultedGrid(t *testing.T) {
 	}
 	run := telemetry.RunInfo{Batch: "golden-faults", Index: 1, Label: s.Config.Label(),
 		Pattern: "uniform", Seed: 13, Load: 0.3, Fingerprint: s.Config.Fingerprint()}
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, telemetry.Config{Every: 100})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, 100)
 	sp.Register(s.Engine)
 	srv := telemetry.NewServer()
 	srv.SetProgress(obs.NewProgress(io.Discard, 4, 0))
 	srv.Attach(sp)
 	// A finished failed run folds into the cumulative counters.
-	srv.Detach(telemetry.NewSampler(s.Fabric, nil, telemetry.RunInfo{}, telemetry.Config{}), true)
+	srv.Detach(telemetry.NewSampler(s.Fabric, nil, telemetry.RunInfo{}, 0), true)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func checkGolden(t *testing.T, path, body string) {
 func TestMetricsEscapesLabelValuesOnce(t *testing.T) {
 	s := newSim(t, 0.4)
 	run := telemetry.RunInfo{Batch: "a\"b\\c\nd", Label: "tab\there"}
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, telemetry.Config{Every: 100})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, 100)
 	sp.Register(s.Engine)
 	srv := telemetry.NewServer()
 	srv.Attach(sp)
@@ -150,7 +150,7 @@ func TestMetricsEscapesLabelValuesOnce(t *testing.T) {
 
 func TestMetricsServesGridAndLifecycle(t *testing.T) {
 	s := newSim(t, 0.4)
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{Label: "x"}, telemetry.Config{Every: 100})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{Label: "x"}, 100)
 	sp.Register(s.Engine)
 	srv := telemetry.NewServer()
 	srv.Attach(sp)
@@ -176,7 +176,7 @@ func TestMetricsServesGridAndLifecycle(t *testing.T) {
 
 func TestTelemetryJSONEndpoint(t *testing.T) {
 	s := newSim(t, 0.4)
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{Label: "x", Load: 0.4}, telemetry.Config{Every: 100})
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{Label: "x", Load: 0.4}, 100)
 	sp.Register(s.Engine)
 	srv := telemetry.NewServer()
 	srv.Attach(sp)

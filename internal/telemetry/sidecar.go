@@ -54,7 +54,7 @@ func RecordOf(s *Sampler) Record {
 	return Record{
 		Schema:        Schema,
 		RunInfo:       s.run,
-		Every:         s.cfg.Every,
+		Every:         s.every,
 		ClassNames:    s.ClassNames(),
 		ClassLinks:    s.ClassLinks(),
 		Points:        points,
@@ -124,11 +124,14 @@ func (s *Sidecar) Close() error {
 }
 
 // DecodeSidecar parses a complete sidecar file back into records,
-// rejecting unknown schemas and malformed lines (a torn tail is a
-// decode error here: readers see only finished files).
+// rejecting unknown schemas, unknown fields (a drifted or misspelled
+// field would otherwise be dropped, and the file digest like one
+// without it) and malformed lines (a torn tail is a decode error here:
+// readers see only finished files).
 func DecodeSidecar(data []byte) ([]Record, error) {
 	var recs []Record
 	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	for dec.More() {
 		var rec Record
 		if err := dec.Decode(&rec); err != nil {

@@ -6,6 +6,12 @@
 // next to the manifest, and an HTTP endpoint that serves the live state
 // in Prometheus text and JSON form.
 //
+// The sampling cadence is the package's one setting; the ring keeps the
+// latest 512 points, the event log the first 256 events, and the
+// detector's thresholds are fixed. The commands reach the package
+// through internal/cli, which opens the endpoint and the sidecar their
+// flags name.
+//
 // The sidecar is an output, not a journal: each invocation writes it
 // afresh. A run's series is also stored with its record in the result
 // store (internal/store), which is what a resumed or read-through grid
@@ -74,32 +80,26 @@ type RunInfo struct {
 	Fingerprint string  `json:"fingerprint"`
 }
 
-// Config tunes a sampler. The zero value takes the defaults.
-type Config struct {
-	// Every is the sampling cadence in cycles (default 100).
-	Every int64
-	// RingCap bounds the retained time series (default 512 points; older
-	// points scroll off and are counted as dropped).
-	RingCap int
-	// EventCap bounds the retained event log (default 256).
-	EventCap int
-	// Thresholds tunes the congestion detector.
-	Thresholds Thresholds
+// Options is the telemetry the experiment layer (core.Options.Telemetry)
+// attaches to every run: the live endpoint and the JSONL sidecar, either
+// of which may be nil, and the sampling cadence in cycles (0 takes
+// DefaultEvery).
+type Options struct {
+	Server  *Server
+	Sidecar *Sidecar
+	Every   int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Every <= 0 {
-		c.Every = 100
-	}
-	if c.RingCap <= 0 {
-		c.RingCap = 512
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 256
-	}
-	c.Thresholds = c.Thresholds.withDefaults()
-	return c
-}
+// DefaultEvery is the sampling cadence, in cycles, of a sampler built
+// with none.
+const DefaultEvery = 100
+
+// A sampler keeps the latest ringCap points of its run (older points
+// scroll off and are counted as dropped) and the first eventCap events.
+const (
+	ringCap  = 512
+	eventCap = 256
+)
 
 // Sampler snapshots one fabric's counters on a fixed cycle cadence. It
 // registers as the last engine stage, so each sample sees the complete
@@ -112,7 +112,7 @@ type Sampler struct {
 	fabric  *wormhole.Fabric
 	engine  *sim.Engine
 	run     RunInfo
-	cfg     Config
+	every   int64
 	classes *chanstats.Classes // nil when the topology has no class map
 	// rerouter is the routing algorithm's optional fault-detour counter,
 	// type-asserted once at construction to keep the sample path cheap.
@@ -120,7 +120,7 @@ type Sampler struct {
 
 	//smartlint:allow concurrency — guards ring/detector state read by the metrics server, off the cycle path
 	mu   sync.Mutex
-	ring *Ring
+	ring *ring
 	det  *detector
 	// emit is the bound emitLocked method value, captured once at
 	// construction: materializing it per sample would heap-allocate a
@@ -128,7 +128,7 @@ type Sampler struct {
 	emit   func(Event)
 	events []Event
 	// eventsTotal counts events ever emitted; events keeps the first
-	// EventCap (onset events matter more than late repeats, so the log
+	// eventCap (onset events matter more than late repeats, so the log
 	// keeps the head, unlike the ring which keeps the tail).
 	eventsTotal int
 
@@ -142,12 +142,15 @@ type Sampler struct {
 	failure string
 }
 
-// NewSampler builds a sampler for the fabric. The engine reference is
-// optional (nil disables watchdog-aware near-stall detection); the
-// classifier is derived from the fabric's topology, silently absent for
-// families without a class structure.
-func NewSampler(f *wormhole.Fabric, e *sim.Engine, run RunInfo, cfg Config) *Sampler {
-	cfg = cfg.withDefaults()
+// NewSampler builds a sampler for the fabric that samples every
+// `every` cycles (DefaultEvery when every is not positive). The engine
+// reference is optional (nil disables watchdog-aware near-stall
+// detection); the classifier is derived from the fabric's topology,
+// silently absent for families without a class structure.
+func NewSampler(f *wormhole.Fabric, e *sim.Engine, run RunInfo, every int64) *Sampler {
+	if every <= 0 {
+		every = DefaultEvery
+	}
 	classes, err := chanstats.ClassesFor(f.Top)
 	if err != nil {
 		classes = nil
@@ -156,18 +159,14 @@ func NewSampler(f *wormhole.Fabric, e *sim.Engine, run RunInfo, cfg Config) *Sam
 	if classes != nil {
 		n = classes.Len()
 	}
-	ring, err := NewRing(cfg.RingCap, n)
-	if err != nil {
-		panic(err) // unreachable: withDefaults guarantees a positive capacity
-	}
 	s := &Sampler{
 		fabric:     f,
 		engine:     e,
 		run:        run,
-		cfg:        cfg,
+		every:      every,
 		classes:    classes,
-		ring:       ring,
-		det:        newDetector(n, cfg.Thresholds),
+		ring:       newRing(ringCap, n),
+		det:        newDetector(n, defaultThresholds),
 		prevClass:  make([]int64, n),
 		curClass:   make([]int64, n),
 		deltaClass: make([]int64, n),
@@ -186,7 +185,7 @@ func (s *Sampler) Register(e *sim.Engine) {
 }
 
 // Every returns the sampling cadence in cycles.
-func (s *Sampler) Every() int64 { return s.cfg.Every }
+func (s *Sampler) Every() int64 { return s.every }
 
 // HasFaults reports whether the recorded fabric carries fault state; the
 // metrics server gates the degraded-mode lines on it so unfaulted runs
@@ -212,13 +211,13 @@ func (s *Sampler) ClassLinks() []int64 {
 }
 
 // tick runs once per cycle as an engine stage and samples every
-// cfg.Every cycles. The engine passes the pre-increment cycle index, so
+// s.every cycles. The engine passes the pre-increment cycle index, so
 // the (cycle+1)%every == 0 gate labels each sample with the number of
 // cycles completed: at cadence 100 the first sample is labeled cycle 100.
 //
 //smartlint:hotpath
 func (s *Sampler) tick(cycle int64) {
-	if (cycle+1)%s.cfg.Every != 0 {
+	if (cycle+1)%s.every != 0 {
 		return
 	}
 	s.sample(cycle + 1)
@@ -269,7 +268,7 @@ func (s *Sampler) sample(cycle int64) {
 		}
 		for i := range s.curClass {
 			s.deltaClass[i] = s.curClass[i] - s.prevClass[i]
-			s.classUtil[i] = s.classes.Utilization(i, s.deltaClass[i], s.cfg.Every)
+			s.classUtil[i] = s.classes.Utilization(i, s.deltaClass[i], s.every)
 		}
 		copy(s.prevClass, s.curClass)
 		s.prevSum = sum
@@ -304,7 +303,7 @@ func (s *Sampler) sample(cycle int64) {
 // synchronously from observe).
 func (s *Sampler) emitLocked(ev Event) {
 	s.eventsTotal++
-	if len(s.events) < s.cfg.EventCap {
+	if len(s.events) < eventCap {
 		s.events = append(s.events, ev)
 	}
 }

@@ -160,9 +160,6 @@ func (c *Cube) neighbor(x, d, dir int) int {
 	return c.WithDigit(x, d, coord)
 }
 
-// Neighbor is the exported form of neighbor, used by tests and examples.
-func (c *Cube) Neighbor(x, d, dir int) int { return c.neighbor(x, d, dir) }
-
 // CrossesWrap reports whether the link leaving router r along dimension d
 // in direction dir is a wrap-around connection. The deterministic and
 // escape-channel disciplines switch virtual network when a packet crosses

@@ -90,10 +90,10 @@ func TestCubeNeighborInverse(t *testing.T) {
 	c := mustCube(t, 6, 2)
 	for x := 0; x < c.Nodes(); x++ {
 		for d := 0; d < c.N; d++ {
-			if c.Neighbor(c.Neighbor(x, d, Plus), d, Minus) != x {
+			if c.neighbor(c.neighbor(x, d, Plus), d, Minus) != x {
 				t.Fatalf("plus then minus not identity at node %d dim %d", x, d)
 			}
-			if c.Neighbor(c.Neighbor(x, d, Minus), d, Plus) != x {
+			if c.neighbor(c.neighbor(x, d, Minus), d, Plus) != x {
 				t.Fatalf("minus then plus not identity at node %d dim %d", x, d)
 			}
 		}
@@ -104,7 +104,7 @@ func TestCubeNeighborChangesOnlyOneDigit(t *testing.T) {
 	c := mustCube(t, 5, 3)
 	for x := 0; x < c.Nodes(); x += 7 {
 		for d := 0; d < c.N; d++ {
-			y := c.Neighbor(x, d, Plus)
+			y := c.neighbor(x, d, Plus)
 			for dd := 0; dd < c.N; dd++ {
 				if dd == d {
 					want := (c.Digit(x, dd) + 1) % c.K
@@ -125,8 +125,8 @@ func TestCubeWiringMatchesNeighbor(t *testing.T) {
 		for d := 0; d < c.N; d++ {
 			for _, dir := range []int{Plus, Minus} {
 				p := c.RouterPorts(r)[PortOf(d, dir)]
-				if p.Kind != PortRouter || p.Peer != c.Neighbor(r, d, dir) {
-					t.Fatalf("router %d port (%d,%d) wired to %d, want %d", r, d, dir, p.Peer, c.Neighbor(r, d, dir))
+				if p.Kind != PortRouter || p.Peer != c.neighbor(r, d, dir) {
+					t.Fatalf("router %d port (%d,%d) wired to %d, want %d", r, d, dir, p.Peer, c.neighbor(r, d, dir))
 				}
 			}
 		}
@@ -161,7 +161,7 @@ func TestCubeExactlyOneWrapPerRingDirection(t *testing.T) {
 			if c.CrossesWrap(x, 0, Plus) {
 				wraps++
 			}
-			x = c.Neighbor(x, 0, Plus)
+			x = c.neighbor(x, 0, Plus)
 		}
 		if x != start || wraps != 1 {
 			t.Fatalf("ring %d: returned to %d (start %d) with %d wraps", row, x, start, wraps)
@@ -220,13 +220,13 @@ func TestCubeMinimalDirsConsistentWithDistance(t *testing.T) {
 				plus, minus := c.MinimalDirs(cur, dst, d)
 				base := c.RingDistance(c.Digit(cur, d), c.Digit(dst, d))
 				if plus {
-					next := c.Neighbor(cur, d, Plus)
+					next := c.neighbor(cur, d, Plus)
 					if c.RingDistance(c.Digit(next, d), c.Digit(dst, d)) != base-1 {
 						t.Fatalf("plus not minimal at cur=%d dst=%d dim=%d", cur, dst, d)
 					}
 				}
 				if minus {
-					next := c.Neighbor(cur, d, Minus)
+					next := c.neighbor(cur, d, Minus)
 					if c.RingDistance(c.Digit(next, d), c.Digit(dst, d)) != base-1 {
 						t.Fatalf("minus not minimal at cur=%d dst=%d dim=%d", cur, dst, d)
 					}

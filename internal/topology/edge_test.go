@@ -27,7 +27,7 @@ func TestRadixTwoCube(t *testing.T) {
 		}
 		for x := 0; x < c.Nodes(); x++ {
 			for d := 0; d < n; d++ {
-				plus, minus := c.Neighbor(x, d, Plus), c.Neighbor(x, d, Minus)
+				plus, minus := c.neighbor(x, d, Plus), c.neighbor(x, d, Minus)
 				if plus != minus {
 					t.Fatalf("cube(2,%d): node %d dim %d has distinct plus/minus neighbors %d, %d", n, x, d, plus, minus)
 				}

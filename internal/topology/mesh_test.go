@@ -110,7 +110,7 @@ func TestMeshNeighborAcrossBorderPanics(t *testing.T) {
 			t.Fatal("border crossing did not panic")
 		}
 	}()
-	m.Neighbor(3, 0, Plus)
+	m.neighbor(3, 0, Plus)
 }
 
 func TestMeshRingDistanceNoWrap(t *testing.T) {

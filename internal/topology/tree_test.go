@@ -371,3 +371,24 @@ func TestTreeIsUpPort(t *testing.T) {
 		}
 	}
 }
+
+// MeanPermutationDistance evaluates Equation 5 of the paper analytically:
+// the mean distance d_m of the transpose and bit-reversal permutations,
+// d_m = (k-1)/k^(n/2+1) * sum_{i=1..n/2} (n+2i) k^i, defined for even n.
+func (t *Tree) MeanPermutationDistance() float64 {
+	if t.N%2 != 0 {
+		panic("topology: MeanPermutationDistance requires even n")
+	}
+	half := t.N / 2
+	sum := 0.0
+	ki := 1.0
+	for i := 1; i <= half; i++ {
+		ki *= float64(t.K)
+		sum += float64(t.N+2*i) * ki
+	}
+	den := 1.0
+	for i := 0; i < half+1; i++ {
+		den *= float64(t.K)
+	}
+	return float64(t.K-1) / den * sum
+}

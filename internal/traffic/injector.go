@@ -81,10 +81,6 @@ func (inj *Injector) Stop() { inj.enabled = false }
 // Start turns generation back on.
 func (inj *Injector) Start() { inj.enabled = true }
 
-// Skipped returns the number of fixed-point draws that generated no
-// packet.
-func (inj *Injector) Skipped() int64 { return inj.skipped }
-
 // SetModulator installs a cycle-by-cycle load modulator (nil restores the
 // stationary process). A differential pair must install independently
 // constructed modulators from the same seed so both chains step in

@@ -115,8 +115,8 @@ func TestInjectorSkipsFixedPoints(t *testing.T) {
 	inj, _ := NewInjector(f, pattern, 1.0, 7)
 	inj.Register(e)
 	e.Run(100)
-	if inj.Skipped() != 4*100 {
-		t.Fatalf("skipped %d draws, want 400 (4 palindromes x 100 cycles)", inj.Skipped())
+	if inj.skipped != 4*100 {
+		t.Fatalf("skipped %d draws, want 400 (4 palindromes x 100 cycles)", inj.skipped)
 	}
 	if got := f.Counters().PacketsCreated; got != 12*100 {
 		t.Fatalf("created %d, want 1200", got)
